@@ -341,8 +341,8 @@ def build_spinor_family():
     """
     s = clifford.spinor_vector(clifford.S_PLUS)
     sp = clifford.spinor_vector(clifford.S_PRIME)
-    psi = clifford.endo_to_form(256 * clifford.outer_product(s, s))
-    psip = clifford.endo_to_form(256 * clifford.outer_product(sp, s))
+    psi = clifford.endo_to_form(256 * np.outer(s, s))
+    psip = clifford.endo_to_form(256 * np.outer(sp, s))
     phi = psi + psip
 
     omJ = kaehler_form(J16.subset(0, 4))

@@ -169,8 +169,8 @@ def _chk_octonion_chain(seed):
     return (f"chain={q.co}"[:40] if not ok else "1 and -i"), "1 and -i", 0.0, ok
 
 
-def _chk_octonion_norm_composition(seed):
-    rng = np.random.default_rng([seed, 6])
+def _chk_octonion_norm_composition(seed, rng=None):
+    rng = np.random.default_rng([seed, 6] if rng is None else rng)
     bad = 0
     for _ in range(1000):
         nums = rng.integers(-9, 10, size=16)
@@ -215,11 +215,11 @@ def _chk_clifford_volume8(seed):
     return ("diag(id,-id)" if ok else "differs"), "diag(id,-id)", 0.0, bool(ok)
 
 
-def _chk_clifford_roundtrip(seed):
-    rng = np.random.default_rng([seed, 8])
+def _chk_clifford_roundtrip(seed, rng=None):
+    rng = np.random.default_rng([seed, 8] if rng is None else rng)
     bad = 0
     for _ in range(50):
-        k = int(rng.integers(1, 17))
+        k = int(rng.integers(0, 17))
         idx = tuple(sorted(int(i) for i in rng.choice(np.arange(1, 17), size=k, replace=False)))
         M = clifford.rep16(idx)
         if clifford.endo_to_form(M) != forms.RealForm.blade(16, idx):
@@ -228,10 +228,12 @@ def _chk_clifford_roundtrip(seed):
 
 
 def _chk_spinor_split(seed):
-    pos = set(clifford.POSITIVE_SPINOR_INDICES)
-    neg = set(range(clifford.DIM)) - pos
-    ok = len(pos) == 128 and len(neg) == 128
-    return f"{len(pos)}/{len(neg)}", "128/128", 0.0, ok
+    # the volume element E_1...E_16 is diagonal, +1 exactly on the positive half
+    perm, sign = clifford._blade_perm(range(1, 17))
+    pos = np.nonzero(sign == 1)[0]
+    ok = (np.array_equal(perm, np.arange(clifford.DIM))
+          and np.array_equal(pos, clifford.POSITIVE_SPINOR_INDICES))
+    return f"{len(pos)}/{clifford.DIM - len(pos)}", "128/128", 0.0, ok
 
 
 def _chk_phi_routes(seed):
@@ -260,8 +262,9 @@ def _chk_phi_norm(seed):
 
 def _chk_phi_counts(seed):
     comps, _ = cat.phi_components()
-    counts = tuple(len(c.terms()) for c in comps)
-    disjoint = sum(counts) == len(_phi().terms())
+    supports = [set(c.terms()) for c in comps]
+    counts = tuple(len(m) for m in supports)
+    disjoint = sum(counts) == len(set().union(*supports)) == len(_phi())
     ok = counts == (128, 70, 48, 48) and disjoint
     allpm = all(abs(c) == 1 for c in _phi().terms().values())
     measured = "/".join(str(c) for c in counts) + (" pm1" if allpm else " coeffs!=1")
@@ -350,20 +353,13 @@ def _chk_spinor_duality(seed):
     for key in ("psi", "psi_prime", "phi"):
         f = fam[key]
         for k in range(0, 17, 2):
-            part = f.grade_part(k)
-            dual = forms.hodge_star(part) if part.terms() else None
-            if dual is None:
-                continue
             sign = 1 if k % 4 == 0 else -1
-            ok = ok and dual == f.grade_part(16 - k) * sign
+            ok = ok and forms.hodge_star(f.grade_part(k)) == f.grade_part(16 - k) * sign
     return ("signs hold" if ok else "mismatch"), "signs hold", 0.0, ok
 
 
 def _chk_federer_routes(seed):
-    phi = _phi()
-    route_a = forms.wedge(phi, phi).coefficient(tuple(range(1, 17))) / Fraction(2) ** 8
-    route_b = grassmann.federer_product(phi)
-    sanity = grassmann.federer_product(forms.RealForm(4, {(1, 2): 1, (3, 4): 1}))
+    route_a, route_b, sanity = grassmann.federer_routes()
     ok = route_a == route_b == Fraction(147, 128) and sanity == Fraction(1, 2)
     return f"{route_a} and {sanity}", "147/128 and 1/2", 0.0, ok
 
@@ -397,8 +393,8 @@ def _chk_case4_perturb(seed):
     return _fmt(worst), "< " + _fmt(bound), 1e-6, worst < bound
 
 
-def _chk_minor_identities(seed):
-    rng = np.random.default_rng([seed, 23])
+def _chk_minor_identities(seed, rng=None):
+    rng = np.random.default_rng([seed, 23] if rng is None else rng)
     worst_res = 0.0
     worst_mixed = 0.0
     worst_beta = -1.0
@@ -443,8 +439,8 @@ def _chk_kaehler_roundtrip(seed):
     return _fmt(worst), "<= 1e-08", 1e-8, worst <= 1e-8
 
 
-def _chk_gradient(seed):
-    rng = np.random.default_rng([seed, 26])
+def _chk_gradient(seed, rng=None):
+    rng = np.random.default_rng([seed, 26] if rng is None else rng)
     entries = cat.catalog()
     names = sorted(entries)
     h = 1e-5
@@ -486,8 +482,8 @@ def _chk_comass_blade(seed):
     return _fmt(rep.best_value), "1 within 1e-09", PLANE_TOL, ok
 
 
-def _chk_comass_phi(seed):
-    rep = grassmann.comass_search(_phi(), restarts=20, iters=300, seed=seed, name="phi")
+def _chk_comass_phi(seed, restarts=20, iters=300):
+    rep = grassmann.comass_search(_phi(), restarts=restarts, iters=iters, seed=seed, name="phi")
     ok = (1.0 - SEARCH_TOL <= rep.best_value <= 1.0 + PLANE_TOL
           and rep.wirt_ratio is not None and rep.wirt_ratio >= 294 * (1 - 1e-5))
     measured = f"best {_fmt(rep.best_value)}, ratio {_fmt(rep.wirt_ratio)}"
@@ -497,23 +493,26 @@ def _chk_comass_phi(seed):
 _NEVER_EXCEED_SUITE = ("cayley", "re_omega_8", "omega2", "sigma2", "phi4_spinor", "phi6_spinor")
 
 
-def _chk_comass_never_exceed(seed):
+def _chk_comass_never_exceed(seed, names=_NEVER_EXCEED_SUITE, restarts=8, iters=150):
     entries = cat.catalog()
     worst = -math.inf
-    for name in _NEVER_EXCEED_SUITE:
-        rep = grassmann.comass_search(entries[name].form, restarts=8, iters=150,
+    for name in names:
+        rep = grassmann.comass_search(entries[name].form, restarts=restarts, iters=iters,
                                       seed=seed, name=name)
         worst = max(worst, rep.best_value)
     return _fmt(worst), "<= 1 + 1e-09", PLANE_TOL, worst <= 1.0 + PLANE_TOL
 
 
+def _federer_ok(rep):
+    return (rep.route_wedge == rep.route_shuffle == Fraction(147, 128)
+            and rep.float_residual < PLANE_TOL
+            and rep.sanity_value == Fraction(1, 2))
+
+
 def _chk_federer_float(seed):
     rep = grassmann.federer_eval()
-    ok = (rep.route_wedge == rep.route_shuffle == Fraction(147, 128)
-          and rep.float_residual < PLANE_TOL
-          and rep.sanity_value == Fraction(1, 2))
     measured = f"{rep.route_wedge}, float residual {_fmt(rep.float_residual)}"
-    return measured, "147/128, residual < 1e-09", PLANE_TOL, ok
+    return measured, "147/128, residual < 1e-09", PLANE_TOL, _federer_ok(rep)
 
 
 _EXACT_CHECKS = (
@@ -644,13 +643,28 @@ def _tables_text():
 # command line ------------------------------------------------------------------------
 
 
+def _number(kind, ok, need):
+    """argparse type: kind(text), rejected as `need` unless ok(value)."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
+_nonneg_int = _number(int, lambda v: v >= 0, "at least 0")
+
+
 def _default_seed():
     env = os.environ.get("CALIBENCH_SEED")
     if env is None:
         return 0
     try:
-        return int(env)
-    except ValueError:
+        return _nonneg_int(env)
+    except (ValueError, argparse.ArgumentTypeError) as e:
+        print(f"calibench: error: CALIBENCH_SEED={env!r}: {e}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -718,10 +732,7 @@ def _cmd_federer(args):
     print(f"float residual   {rep.float_residual:.3e}")
     print(f"planar sanity    {rep.sanity_value}")
     print(f"# {dt:.1f}s", file=sys.stderr)
-    ok = (rep.route_wedge == rep.route_shuffle == Fraction(147, 128)
-          and rep.float_residual < PLANE_TOL
-          and rep.sanity_value == Fraction(1, 2))
-    return 0 if ok else 1
+    return 0 if _federer_ok(rep) else 1
 
 
 def _cmd_export(args):
@@ -748,22 +759,22 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run the verification suite")
     v.add_argument("--suite", choices=("all", "exact", "numeric"), default="all")
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=_nonneg_int, default=None)
     v.add_argument("--json", metavar="PATH", default=None)
     v.set_defaults(fn=_cmd_verify)
 
     c = sub.add_parser("comass", help="multi-restart comass search on one catalog form")
     c.add_argument("--form", required=True)
-    c.add_argument("--restarts", type=int, default=200)
-    c.add_argument("--iters", type=int, default=500)
-    c.add_argument("--tol", type=float, default=SEARCH_TOL)
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--restarts", type=_number(int, lambda v: v >= 1, "at least 1"), default=200)
+    c.add_argument("--iters", type=_nonneg_int, default=500)
+    c.add_argument("--tol", type=_number(float, math.isfinite, "finite"), default=SEARCH_TOL)
+    c.add_argument("--seed", type=_nonneg_int, default=None)
     c.set_defaults(fn=_cmd_comass)
 
     g = sub.add_parser("planes", help="sample calibrated planes and print them as JSON")
     g.add_argument("--case", type=int, choices=(1, 2, 3, 4), required=True)
-    g.add_argument("--count", type=int, default=10)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--count", type=_nonneg_int, default=10)
+    g.add_argument("--seed", type=_nonneg_int, default=None)
     g.set_defaults(fn=_cmd_planes)
 
     f = sub.add_parser("federer", help="exact diagonal-product routes plus float cross-check")

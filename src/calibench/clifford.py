@@ -19,6 +19,7 @@ exact trace projection ``endo_to_form``.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -29,8 +30,6 @@ from calibench.octonion import MULT_TABLE
 __all__ = [
     "rep8_matrix",
     "rep16",
-    "generator",
-    "outer_product",
     "endo_to_form",
     "pinor_index",
     "S_PLUS",
@@ -132,11 +131,6 @@ def _gen16(i):
 _GENS = [_gen16(i) for i in range(16)]
 
 
-def generator(i):
-    """Dense 256x256 integer matrix of generator i (1-based, 1..16)."""
-    return rep16((i,))
-
-
 def _compose(pa, sa, pb, sb):
     """Signed-permutation product A B: (AB)e_b = sb[b] sa[pb[b]] e_{pa[pb[b]]}."""
     return pa[pb], sa[pb] * sb
@@ -168,33 +162,23 @@ def rep16(indices):
     return M
 
 
-_TABLES = None
-
-
+@functools.cache
 def _blade_tables():
     """(P, S) with P[m], S[m] the signed permutation of blade mask m.
 
     Doubling recurrence: masks with top generator h+1 are the products of all
     lower masks with generator h+1 appended on the right.
     """
-    global _TABLES
-    if _TABLES is None:
-        P = np.empty((1 << 16, DIM), dtype=np.uint8)
-        S = np.empty((1 << 16, DIM), dtype=np.int8)
-        P[0] = np.arange(DIM, dtype=np.uint8)
-        S[0] = 1
-        for h in range(16):
-            sz = 1 << h
-            ph, sh = _GENS[h]
-            P[sz:2 * sz] = P[:sz][:, ph]
-            S[sz:2 * sz] = S[:sz][:, ph] * sh.astype(np.int8)[None, :]
-        _TABLES = (P, S)
-    return _TABLES
-
-
-def outer_product(x, y):
-    """Rank-one endomorphism z -> <y, z> x, as the matrix x y^T."""
-    return np.outer(np.asarray(x), np.asarray(y))
+    P = np.empty((1 << 16, DIM), dtype=np.uint8)
+    S = np.empty((1 << 16, DIM), dtype=np.int8)
+    P[0] = np.arange(DIM, dtype=np.uint8)
+    S[0] = 1
+    for h in range(16):
+        sz = 1 << h
+        ph, sh = _GENS[h]
+        P[sz:2 * sz] = P[:sz][:, ph]
+        S[sz:2 * sz] = S[:sz][:, ph] * sh.astype(np.int8)[None, :]
+    return P, S
 
 
 def endo_to_form(A):

@@ -8,8 +8,8 @@ algebra codes.  Every coordinate plane is oriented by increasing index order;
 ``vol = E_{1..n}``.
 
 Exact operations (wedge, Hodge star, inner product, alternation, linear
-pullback) never touch floats.  ``evaluate`` is the one float entry point,
-used by the numeric search code.
+pullback) never touch floats.  ``evaluate`` is the one float entry point;
+the comass search kernel reuses its term arrays and determinant sum.
 """
 
 from __future__ import annotations
@@ -308,39 +308,25 @@ def inner_product(a, b):
 # float evaluation ----------------------------------------------------------
 
 
-def _dets_small(slabs, k):
-    """Closed-form cofactor determinants for k <= 4 on a [T,k,k] array."""
-    if k == 1:
-        return slabs[:, 0, 0]
-    if k == 2:
-        return slabs[:, 0, 0] * slabs[:, 1, 1] - slabs[:, 0, 1] * slabs[:, 1, 0]
-    if k == 3:
-        a, b, c = slabs[:, 0, 0], slabs[:, 0, 1], slabs[:, 0, 2]
-        d, e, f = slabs[:, 1, 0], slabs[:, 1, 1], slabs[:, 1, 2]
-        g, h, i = slabs[:, 2, 0], slabs[:, 2, 1], slabs[:, 2, 2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # k == 4: expand along the first row against 3x3 minors
-    minors = []
-    cols = [0, 1, 2, 3]
-    for j in cols:
-        keep = [c for c in cols if c != j]
-        sub = slabs[:, 1:, :][:, :, keep]
-        minors.append(_dets_small(sub, 3))
-    return (
-        slabs[:, 0, 0] * minors[0]
-        - slabs[:, 0, 1] * minors[1]
-        + slabs[:, 0, 2] * minors[2]
-        - slabs[:, 0, 3] * minors[3]
-    )
+def _term_arrays(a):
+    """0-based row indices and float coefficients of a's terms, in storage
+    order: the float view shared by ``evaluate`` and the search kernel."""
+    rows = np.array([[i - 1 for i in mask_indices(m)] for m in a._terms], dtype=np.intp)
+    coeffs = np.array([float(c) for c in a._terms.values()])
+    return rows, coeffs
+
+
+def _det_sum(rows, coeffs, M):
+    """sum_I c_I det(rows I of M) over the term arrays of one form."""
+    return float(coeffs @ np.linalg.det(M[rows, :]))
 
 
 def evaluate(a, vectors):
     """Evaluate a homogeneous k-form on k column vectors (float).
 
     ``vectors`` is an (n, k) array; columns are the arguments.  The value is
-    sum_I c_I det(rows I of vectors).  Cofactor expansion for k <= 4, batched
-    LU (numpy det) above.  Raises on grade/shape mismatch and non-finite
-    input.
+    sum_I c_I det(rows I of vectors), by batched LU (numpy det).  Raises on
+    grade/shape mismatch and non-finite input.
     """
     M = np.asarray(vectors, dtype=float)
     if M.ndim != 2:
@@ -359,11 +345,8 @@ def evaluate(a, vectors):
         raise ValueError(f"form has grade {g}, got {k} vectors")
     if k == 0:
         return float(a.coefficient(()))
-    rows = np.array([[i - 1 for i in mask_indices(m)] for m in a._terms], dtype=np.intp)
-    coeffs = np.array([float(c) for c in a._terms.values()])
-    slabs = M[rows, :]
-    dets = _dets_small(slabs, k) if k <= 4 else np.linalg.det(slabs)
-    return float(coeffs @ dets)
+    rows, coeffs = _term_arrays(a)
+    return _det_sum(rows, coeffs, M)
 
 
 def alternation(T, k, n):

@@ -18,14 +18,13 @@ lower bounds.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from calibench.catalog import (
     STANDARD16,
@@ -35,7 +34,7 @@ from calibench.catalog import (
     holomorphic_volume,
     kaehler_form,
 )
-from calibench.forms import RealForm, evaluate, wedge
+from calibench.forms import RealForm, _det_sum, _term_arrays, evaluate, wedge
 
 __all__ = [
     "NormalFormSpec",
@@ -53,6 +52,7 @@ __all__ = [
     "symplectic_row_value",
     "minor_identity_check",
     "federer_product",
+    "federer_routes",
     "federer_eval",
     "frame_value",
     "frame_gradient",
@@ -127,28 +127,13 @@ def realize(spec):
     return np.column_stack(cols)
 
 
-_J16 = None
+# multiplication by i on realify's interleaved coordinates: (x, y) -> (-y, x)
+_J16 = np.kron(np.eye(8), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
-def _complex_structure_matrix():
-    global _J16
-    if _J16 is None:
-        J = np.zeros((16, 16))
-        for j in range(8):
-            J[2 * j + 1, 2 * j] = 1.0
-            J[2 * j, 2 * j + 1] = -1.0
-        _J16 = J
-    return _J16
-
-
-_OMEGA4 = None
-
-
+@functools.cache
 def _omega4_form():
-    global _OMEGA4
-    if _OMEGA4 is None:
-        _OMEGA4 = build_standard("kaehler_power", STANDARD16, k=4).form
-    return _OMEGA4
+    return build_standard("kaehler_power", STANDARD16, k=4).form
 
 
 def kaehler_angles(frame):
@@ -160,7 +145,7 @@ def kaehler_angles(frame):
         raise ValueError("frame must be 16x8")
     if np.linalg.norm(M.T @ M - np.eye(8)) > 1e-8:
         raise ValueError("frame is not orthonormal")
-    K = (_complex_structure_matrix() @ M).T @ M
+    K = (_J16 @ M).T @ M
     s = np.linalg.svd(K, compute_uv=False)
     if np.abs(s[0::2] - s[1::2]).max() > 1e-8:
         raise ValueError("singular values of the Kaehler pairing do not pair up")
@@ -203,7 +188,9 @@ def sample_group(kind, rng, n=8):
         B = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) / math.sqrt(2)
         A = (B - B.conj().T) / 2
         A = (A + _SP_J @ A.conj() @ np.linalg.inv(_SP_J)) / 2
-        S = scipy.linalg.expm(A)
+        # exp(A) for skew-Hermitian A, from the Hermitian eigensystem of iA
+        w, V = np.linalg.eigh(1j * A)
+        S = (V * np.exp(-1j * w)) @ V.conj().T
         if np.linalg.norm(S.T @ _SP_J @ S - _SP_J) > _UNITARY_RESIDUAL:
             raise AssertionError("symplectic residual too large")
         if np.linalg.norm(S.conj().T @ S - np.eye(8)) > _UNITARY_RESIDUAL:
@@ -371,20 +358,15 @@ class MinorCheckReport:
     tol: float = PLANE_TOL
 
 
-_MIXED_FORM = None
-
-
+@functools.cache
 def _mixed_form():
     """(O1 + O2) ^ omega^2/2 as a (re, im) pair of real 8-forms."""
-    global _MIXED_FORM
-    if _MIXED_FORM is None:
-        o1 = holomorphic_volume(STANDARD16.subset(0, 4))
-        o2 = holomorphic_volume(STANDARD16.subset(4, 8))
-        om = kaehler_form(STANDARD16)
-        om2_half = wedge(om, om) * Fraction(1, 2)
-        tot = o1 + o2
-        _MIXED_FORM = (wedge(tot.re, om2_half), wedge(tot.im, om2_half))
-    return _MIXED_FORM
+    o1 = holomorphic_volume(STANDARD16.subset(0, 4))
+    o2 = holomorphic_volume(STANDARD16.subset(4, 8))
+    om = kaehler_form(STANDARD16)
+    om2_half = wedge(om, om) * Fraction(1, 2)
+    tot = o1 + o2
+    return wedge(tot.re, om2_half), wedge(tot.im, om2_half)
 
 
 _PRIMARY_PAIRS = ((0, 1), (0, 2), (0, 3))
@@ -502,13 +484,13 @@ class FedererReport:
     sanity_value: Fraction
 
 
-def federer_eval():
-    """Both exact routes of the diagonal product for the grade-8 calibration.
+def federer_routes():
+    """Both exact routes of the diagonal product for the grade-8 calibration,
+    plus the shuffle sum of the Kaehler 2-form of R^4 (1/2 when sane).
 
     Route one: the wedge square's volume coefficient over 2^8.  Route two:
-    the shuffle sum.  Disagreement raises.  A float cross-check re-evaluates
-    the shuffle sum with LU determinants on scaled selection frames, and the
-    same machinery on the Kaehler 2-form of R^4 must give 1/2.
+    the shuffle sum.  Disagreement raises.  Returns (route one, route two,
+    sanity value).
     """
     phi = build_phi().form
     n = phi.n
@@ -519,7 +501,16 @@ def federer_eval():
         raise RouteDisagreement(
             f"wedge route {route_a} != shuffle route {route_b}"
         )
+    omega_r4 = RealForm(4, {(1, 2): 1, (3, 4): 1})
+    return route_a, route_b, federer_product(omega_r4)
 
+
+def federer_eval():
+    """``federer_routes`` plus a float cross-check that re-evaluates the
+    shuffle sum with LU determinants on scaled selection frames.
+    """
+    route_a, route_b, sanity = federer_routes()
+    phi = build_phi().form
     scale = 1.0 / math.sqrt(2.0)
     total = 0.0
     eye = np.eye(16)
@@ -531,20 +522,10 @@ def federer_eval():
         v2 = evaluate(phi, scale * eye[:, [i - 1 for i in Ic]])
         total += _shuffle_sign(I) * v1 * v2
     float_residual = abs(total - float(route_b))
-
-    omega_r4 = RealForm(4, {(1, 2): 1, (3, 4): 1})
-    sanity = federer_product(omega_r4)
     return FedererReport(route_a, route_b, float_residual, sanity)
 
 
 # comass search -------------------------------------------------------------------
-
-
-def _term_arrays(form):
-    idx = list(form.terms().items())
-    rows = np.array([[i - 1 for i in ind] for ind, _ in idx], dtype=np.intp)
-    coeffs = np.array([float(c) for _, c in idx])
-    return rows, coeffs
 
 
 def frame_value(form, M):
@@ -593,10 +574,6 @@ def frame_gradient(form, M):
     return _gradient(rows, coeffs, M)
 
 
-def _value(rows, coeffs, M):
-    return float((coeffs * np.linalg.det(M[rows, :])).sum())
-
-
 def _retract(X):
     Q, R = np.linalg.qr(X)
     d = np.sign(np.diag(R))
@@ -619,7 +596,7 @@ def _blade_start(form, n, k):
 
 
 def _ascend(rows, coeffs, M, iters, tol):
-    f = _value(rows, coeffs, M)
+    f = _det_sum(rows, coeffs, M)
     best_f, best_M = f, M
     step = 1.0
     for _ in range(iters):
@@ -632,7 +609,7 @@ def _ascend(rows, coeffs, M, iters, tol):
         accepted = False
         while step > 1e-14:
             M2 = _retract(M + step * Gt)
-            f2 = _value(rows, coeffs, M2)
+            f2 = _det_sum(rows, coeffs, M2)
             if f2 >= f + 1e-4 * step * gn2:
                 accepted = True
                 break
@@ -678,16 +655,14 @@ class ComassReport:
         return d
 
 
-def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=None, workers=None):
+def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=None):
     """Projected-gradient ascent over orthonormal k-frames, multi-restart.
 
     Restart 0 starts at the largest-coefficient blade frame, so the best
     value is structurally >= the largest absolute coefficient; restart r > 0
-    draws a Gaussian frame from a generator seeded with (seed, r).  Restarts
-    share no state and run on a thread pool; the merge keeps the lowest
-    restart index among ties, so the result does not depend on scheduling.
-    For middle-degree forms the report carries the ratio of the wedge-square
-    volume coefficient to the squared best value.
+    draws a Gaussian frame from a generator seeded with (seed, r).  Ties keep
+    the lowest restart index.  For middle-degree forms the report carries the
+    ratio of the wedge-square volume coefficient to the squared best value.
     """
     k = form.grade()
     if k is None:
@@ -697,18 +672,14 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     n = form.n
     rows, coeffs = _term_arrays(form)
 
-    def run(r):
+    best_f, best_M, best_r = -math.inf, None, -1
+    for r in range(restarts):
         if r == 0:
             M0 = _blade_start(form, n, k)
         else:
             rng = np.random.default_rng([seed, r])
             M0 = _retract(rng.standard_normal((n, k)))
-        return _ascend(rows, coeffs, M0, iters, tol)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, range(restarts)))
-    best_f, best_M, best_r = -math.inf, None, -1
-    for r, (f, M) in enumerate(results):
+        f, M = _ascend(rows, coeffs, M0, iters, tol)
         if f > best_f:
             best_f, best_M, best_r = f, M, r
     max_coeff = max(abs(float(c)) for c in form.terms().values())

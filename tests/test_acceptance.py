@@ -1,270 +1,95 @@
 """Acceptance gate: eight criteria, one printed pass/fail line each.
 
-Run `pytest -s tests/test_acceptance.py` to see the lines while the tests
-run; without -s pytest shows them for failing criteria only.
+Every criterion runs check bodies of `calibench verify`, named by check id,
+with the gate's own sizes, generator seeds and time limits.  Run
+`pytest -s tests/test_acceptance.py` to see the lines while the tests run;
+without -s pytest shows them for failing criteria only.
 """
 
-import math
 import time
-from fractions import Fraction
-from itertools import combinations
 
-import numpy as np
+from calibench import cli
 
-from calibench import clifford, grassmann, octonion
-from calibench.catalog import (
-    CAYLEY_TERMS,
-    NORM_TABLE_EXPECTED,
-    build_cayley,
-    build_phi,
-    build_spinor_family,
-    catalog,
-    norm_table,
-    phi_components,
-    spinor_pullback_matrix,
+NEVER_EXCEED = (
+    "cayley", "re_omega_8", "omega1", "omega2", "omega3", "omega4", "sigma2",
+    "phi4_spinor", "phi6_spinor", "phi8_spinor", "phi10_spinor", "phi12_spinor",
+    "phi16_spinor",
 )
-from calibench.forms import RealForm, evaluate, hodge_star, inner_product, pullback, wedge
 
 
-def _report(num, ok, detail):
+def _criterion(num, checks, limit=None):
+    """Run each check id's body with seed 0 and its keyword arguments, print
+    the criterion line and assert that every body passed, within `limit`
+    seconds in total when one is given."""
+    bodies = {cid: fn for cid, _claim, fn in cli._EXACT_CHECKS + cli._NUMERIC_CHECKS}
+    t0 = time.perf_counter()
+    rows = [(cid, *bodies[cid](0, **kwargs)) for cid, kwargs in checks.items()]
+    dt = time.perf_counter() - t0
+    ok = all(passed for *_, passed in rows) and (limit is None or dt < limit)
+    detail = "; ".join(
+        f"{cid} {'ok' if passed else 'FAILED'} (measured {measured}; expected {expected})"
+        for cid, measured, expected, _tol, passed in rows
+    )
+    if limit is not None:
+        detail += f"; {dt:.1f}s (< {limit:g}s)"
     print(f"CRITERION {num} {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
     assert ok, f"criterion {num}: {detail}"
 
 
 def test_criterion_1_main_form_identities():
-    t0 = time.perf_counter()
-    phi = build_phi().form
-    square_ok = wedge(phi, phi) == 294 * RealForm.volume(16)
-    norm_ok = inner_product(phi, phi) == 294
-    comps, _ = phi_components()
-    counts = tuple(len(c) for c in comps)
-    masks = [set(c.terms()) for c in comps]
-    disjoint = sum(len(m) for m in masks) == len(set().union(*masks)) == len(phi)
-    dt = time.perf_counter() - t0
-    ok = square_ok and norm_ok and counts == (128, 70, 48, 48) and disjoint and dt < 5.0
-    _report(1, ok, f"square 294 vol {square_ok}, norm 294 {norm_ok}, "
-                   f"counts {counts}, disjoint {disjoint}, {dt:.2f}s (< 5s)")
+    _criterion(1, {"phi_squared": {}, "phi_norm": {}, "phi_counts": {}}, limit=5.0)
 
 
 def test_criterion_2_cayley_routes():
-    ref = RealForm(8, CAYLEY_TERMS)
-    routes_ok = all(
-        build_cayley(route).form == ref
-        for route in ("basis_list", "chain_alt", "complex_identity")
-    )
-    f = build_cayley().form
-    terms_ok = len(f) == 14 and set(f.terms().values()) <= {Fraction(1), Fraction(-1)}
-    square_ok = wedge(f, f) == 14 * RealForm.volume(8)
-    ok = routes_ok and terms_ok and square_ok
-    _report(2, ok, f"routes agree {routes_ok}, 14 terms all unit {terms_ok}, square 14 vol {square_ok}")
+    _criterion(2, {"cayley_routes": {}, "cayley_square": {}})
 
 
 def test_criterion_3_octonion_identities():
-    es = [octonion.Octonion.basis(i) for i in range(8)]
-    one = es[0]
-    bad = []
-
-    # conjugation, norm and inner-product adjunctions on the full basis
-    for x in es:
-        if x.conj().conj() != x or x.conj() * x != one.scale(x.norm_sq()):
-            bad.append("conj")
-    for x in es:
-        for y in es:
-            if (x * y).conj() != y.conj() * x.conj():
-                bad.append("antiauto")
-    for x in es:
-        for y in es:
-            for z in es:
-                if x.inner(y * z) != (x * z.conj()).inner(y):
-                    bad.append("adjoint right")
-                if x.inner(z * y) != (z.conj() * x).inner(y):
-                    bad.append("adjoint left")
-
-    # swap rules for orthogonal arguments (distinct units are orthogonal)
-    for a in range(8):
-        for b in range(8):
-            if a == b:
-                continue
-            x, y = es[a], es[b]
-            for z in es:
-                if x * (y.conj() * z) != -(y * (x.conj() * z)):
-                    bad.append("swap right")
-                if (z * x.conj()) * y != -((z * y.conj()) * x):
-                    bad.append("swap left")
-
-    # the doubled-basis product rules
-    e = es[4]
-    for x in es[1:4]:
-        if (x * e) * x != e or e * (x * e) != x:
-            bad.append("doubling")
-        if x * x != -one:
-            bad.append("unit square")
-        for y in es[1:4]:
-            if x == y:
-                continue
-            if x * (y * e) != (y * x) * e or (x * e) * (y * e) != y * x:
-                bad.append("doubling pair")
-    for i in range(1, 8):
-        for j in range(1, 8):
-            if i != j and es[i] * es[j] != -(es[j] * es[i]):
-                bad.append("anticommute")
-
-    chain_ok = octonion.chain_product(es) == one
-
-    rng = np.random.default_rng(0)
-    comp_ok = True
-    for _ in range(1000):
-        x = octonion.Octonion([Fraction(int(a), int(b)) for a, b in
-                               zip(rng.integers(-9, 10, 8), rng.integers(1, 10, 8))])
-        y = octonion.Octonion([Fraction(int(a), int(b)) for a, b in
-                               zip(rng.integers(-9, 10, 8), rng.integers(1, 10, 8))])
-        if (x * y).norm_sq() != x.norm_sq() * y.norm_sq():
-            comp_ok = False
-            break
-
-    ok = not bad and chain_ok and comp_ok
-    _report(3, ok, f"identity failures {sorted(set(bad))}, full-basis chain is 1 {chain_ok}, "
-                   f"norm composition on 1000 rational pairs {comp_ok}")
+    _criterion(3, {
+        "octonion_basis_identities": {},
+        "octonion_orthogonal_swap": {},
+        "octonion_doubling_rules": {},
+        "octonion_chain": {},
+        "octonion_norm_composition": {"rng": 0},
+    })
 
 
 def test_criterion_4_clifford_layer():
-    # volume of the 8-dimensional action: +id on the first half, -id on the second
-    vol8 = np.eye(16, dtype=object)
-    for i in range(7, -1, -1):
-        unit = [Fraction(int(m == i)) for m in range(8)]
-        vol8 = clifford.rep8_matrix(unit) @ vol8
-    expect8 = np.block([
-        [np.eye(8, dtype=int), np.zeros((8, 8), dtype=int)],
-        [np.zeros((8, 8), dtype=int), -np.eye(8, dtype=int)],
-    ])
-    vol8_ok = (vol8 == expect8).all()
-
-    # generator relations; products of signed permutation matrices are exact in floats
-    gens = [clifford.rep16((i,)).astype(float) for i in range(1, 17)]
-    eye = np.eye(clifford.DIM)
-    rel_ok = all((g @ g == -eye).all() for g in gens)
-    for i in range(16):
-        for j in range(i + 1, 16):
-            if not (gens[i] @ gens[j] == -(gens[j] @ gens[i])).all():
-                rel_ok = False
-
-    rng = np.random.default_rng(4)
-    round_ok = True
-    for _ in range(50):
-        k = int(rng.integers(0, 17))
-        idx = tuple(int(i) for i in sorted(rng.choice(16, size=k, replace=False) + 1))
-        if clifford.endo_to_form(clifford.rep16(idx)) != RealForm.blade(16, idx):
-            round_ok = False
-            break
-
-    vol16 = eye
-    for g in reversed(gens):
-        vol16 = g @ vol16
-    diag = np.diag(vol16)
-    split_ok = ((vol16 == np.diag(diag)).all()
-                and sorted(np.nonzero(diag == 1.0)[0]) == sorted(clifford.POSITIVE_SPINOR_INDICES)
-                and int((diag == 1.0).sum()) == 128 and int((diag == -1.0).sum()) == 128)
-
-    ok = vol8_ok and rel_ok and round_ok and split_ok
-    _report(4, ok, f"rep8 volume block-diagonal {vol8_ok}, generator relations {rel_ok}, "
-                   f"roundtrip on 50 blades {round_ok}, spinor split 128/128 {split_ok}")
+    _criterion(4, {
+        "clifford_volume8": {},
+        "clifford_generators": {},
+        "clifford_roundtrip": {"rng": 4},
+        "spinor_split": {},
+    })
 
 
 def test_criterion_5_spinor_family():
-    t0 = time.perf_counter()
-    fam = build_spinor_family()
-    tables_ok = all(norm_table(fam[k]) == NORM_TABLE_EXPECTED[k] for k in ("psi", "psi_prime", "phi"))
-    closed4_ok = fam["phi"].grade_part(4) == fam["phi4_closed"]
-    closed8_ok = fam["phi"].grade_part(8) == fam["phi8_closed"]
-    pull_ok = pullback(fam["phi"].grade_part(8), spinor_pullback_matrix()) == build_phi().form
-    duality_ok = True
-    for key in ("psi", "psi_prime", "phi"):
-        f = fam[key]
-        for k in range(0, 17, 2):
-            sign = 1 if k % 4 == 0 else -1
-            if hodge_star(f.grade_part(k)) != sign * f.grade_part(16 - k):
-                duality_ok = False
-    dt = time.perf_counter() - t0
-    ok = tables_ok and closed4_ok and closed8_ok and pull_ok and duality_ok and dt < 60.0
-    _report(5, ok, f"norm tables {tables_ok}, grade-4 closed form {closed4_ok}, "
-                   f"grade-8 closed form {closed8_ok}, pullback onto the standard form {pull_ok}, "
-                   f"duality signs {duality_ok}, {dt:.2f}s (< 60s)")
+    _criterion(5, {
+        "spinor_norm_tables": {},
+        "spinor_closed_forms": {},
+        "spinor_pullback": {},
+        "spinor_duality": {},
+    }, limit=60.0)
 
 
 def test_criterion_6_diagonal_product():
-    t0 = time.perf_counter()
-    rep = grassmann.federer_eval()
-    dt = time.perf_counter() - t0
-    routes_ok = rep.route_wedge == rep.route_shuffle == Fraction(147, 128)
-    sanity_ok = rep.sanity_value == Fraction(1, 2)
-    ok = routes_ok and sanity_ok and rep.float_residual < 1e-9 and dt < 300.0
-    _report(6, ok, f"both routes 147/128 {routes_ok}, planar sanity 1/2 {sanity_ok}, "
-                   f"float residual {rep.float_residual:.2e}, {dt:.1f}s (< 5min)")
+    _criterion(6, {"federer_float": {}}, limit=300.0)
 
 
 def test_criterion_7_calibrated_families():
-    phi = build_phi().form
-    worst_value = 0.0
-    worst_row = 0.0
-    for case in (1, 2, 3, 4):
-        for s in grassmann.gen_calibrated(case, 100, seed=0):
-            worst_value = max(worst_value, abs(evaluate(phi, s.frame) - 1.0))
-            if case == 4:
-                worst_row = max(worst_row, abs(grassmann.symplectic_row_value(s.spec.matrix) - 1.0))
-    values_ok = worst_value <= 1e-9
-    rows_ok = worst_row <= 1e-9
-
-    rng = np.random.default_rng(1)
-    worst_minor = 0.0
-    for _ in range(100):
-        U = grassmann.sample_group("u", rng)
-        angles = tuple(sorted(float(a) for a in rng.uniform(0, math.pi / 2, 4)))
-        rep = grassmann.minor_identity_check(grassmann.NormalFormSpec(U, angles))
-        worst_minor = max(worst_minor, rep.max_residual, rep.mixed_residual)
-    minors_ok = worst_minor < 1e-10
-
-    ok = values_ok and rows_ok and minors_ok
-    _report(7, ok, f"400 calibrated samples within 1e-9 of 1 (worst {worst_value:.2e}), "
-                   f"family-4 row condition (worst {worst_row:.2e}), "
-                   f"minor identities over 100 unitaries (worst {worst_minor:.2e})")
+    _criterion(7, {
+        "planes_case1": {},
+        "planes_case2": {},
+        "planes_case3": {},
+        "planes_case4": {},
+        "case4_rows": {},
+        "minor_identities": {"rng": 1},
+    })
 
 
 def test_criterion_8_comass_search():
-    t0 = time.perf_counter()
-    entries = catalog()
-    rep = grassmann.comass_search(entries["phi"].form, restarts=200, iters=500, seed=0, name="phi")
-    main_ok = 1.0 - 1e-6 <= rep.best_value <= 1.0 + 1e-9
-    ratio_ok = rep.wirt_ratio is not None and rep.wirt_ratio >= 294 * (1 - 1e-5)
-
-    never_exceed = (
-        "cayley", "re_omega_8", "omega1", "omega2", "omega3", "omega4", "sigma2",
-        "phi4_spinor", "phi6_spinor", "phi8_spinor", "phi10_spinor", "phi12_spinor",
-        "phi16_spinor",
-    )
-    worst_name, worst_best = None, -math.inf
-    for name in never_exceed:
-        r = grassmann.comass_search(entries[name].form, restarts=40, iters=200, seed=0, name=name)
-        if r.best_value > worst_best:
-            worst_name, worst_best = name, r.best_value
-    bound_ok = worst_best <= 1.0 + 1e-9
-
-    rng = np.random.default_rng(2)
-    names = sorted(entries)
-    h = 1e-5
-    worst_grad = 0.0
-    for _ in range(20):
-        f = entries[names[int(rng.integers(0, len(names)))]].form
-        M = grassmann._retract(rng.standard_normal((f.n, f.grade())))
-        D = rng.standard_normal(M.shape)
-        D /= np.linalg.norm(D)
-        fd = (grassmann.frame_value(f, M + h * D) - grassmann.frame_value(f, M - h * D)) / (2 * h)
-        an = float((grassmann.frame_gradient(f, M) * D).sum())
-        worst_grad = max(worst_grad, abs(fd - an) / max(1.0, abs(an)))
-    grad_ok = worst_grad < 1e-6
-
-    dt = time.perf_counter() - t0
-    ok = main_ok and ratio_ok and bound_ok and grad_ok and dt < 600.0
-    _report(8, ok, f"main search best {rep.best_value:.12f} in [1-1e-6, 1+1e-9] {main_ok}, "
-                   f"ratio {rep.wirt_ratio:.6f} >= 294(1-1e-5) {ratio_ok}, "
-                   f"never-exceed worst {worst_best:.12f} ({worst_name}) {bound_ok}, "
-                   f"gradient rel err {worst_grad:.2e} {grad_ok}, {dt:.1f}s (< 10min)")
+    _criterion(8, {
+        "comass_phi": {"restarts": 200, "iters": 500},
+        "comass_never_exceed": {"names": NEVER_EXCEED, "restarts": 40, "iters": 200},
+        "gradient_check": {"rng": 2},
+    }, limit=600.0)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +34,49 @@ def _boom(seed):
 
 FAKE_BOOM = ("toy_boom", "a toy check that raises", _boom)
 
+# what `calibench verify --suite all` prints, in order: check id and claim
+SUITE_ALL = (
+    ("octonion_table", "multiplication table equals the recursive pair-doubling oracle"),
+    ("octonion_basis_identities", "conjugation, norm and pairing-adjoint identities hold on the basis"),
+    ("octonion_orthogonal_swap", "orthogonal swap identities hold on all orthogonal basis triples"),
+    ("octonion_doubling_rules", "quaternion-pair product rules hold for distinct imaginary units"),
+    ("octonion_chain", "right-folded basis chain gives 1 and the two-step conjugation chain gives -i"),
+    ("octonion_norm_composition", "product norm factors exactly over 1000 seeded rational pairs"),
+    ("clifford_generators", "all sixteen generators square to -id and pairwise anticommute"),
+    ("clifford_volume8", "the ordered 8-dim generator product is +id on one summand, -id on the other"),
+    ("clifford_roundtrip", "form extraction inverts the blade action on 50 seeded blades"),
+    ("spinor_split", "the chirality index sets split 256 as 128 + 128"),
+    ("phi_routes", "the two assembly routes of the grade-8 calibration agree"),
+    ("phi_squared", "the calibration wedge-squares to 294 times the volume form"),
+    ("phi_norm", "the calibration has squared norm 294"),
+    ("phi_counts", "term counts by component are 128/70/48/48 with unit coefficients"),
+    ("phi_self_dual", "the calibration equals its Hodge dual"),
+    ("phi_phase_family", "two exact phase rotations keep the wedge square at 294 vol"),
+    ("cayley_routes", "the three constructions of the 4-fold cross form agree"),
+    ("cayley_square", "the 4-fold cross form has 14 unit terms and wedge square 14 vol"),
+    ("standard_norms", "Kaehler powers and holomorphic volume parts have the expected norms and duals"),
+    ("spinor_norm_tables", "the three spinor-product grade-norm tables match"),
+    ("spinor_closed_forms", "grade-4 and grade-8 spinor parts equal their closed forms"),
+    ("spinor_pullback", "an axis-flip pullback carries the grade-8 spinor part onto the calibration"),
+    ("spinor_duality", "spinor grade parts pair under the Hodge star with signs by grade mod 4"),
+    ("federer_routes", "both exact diagonal-product routes give 147/128; planar sanity 1/2"),
+    ("planes_case1", "100 family-1 samples calibrate to 1 within 1e-9"),
+    ("planes_case2", "100 family-2 samples calibrate to 1 within 1e-9"),
+    ("planes_case3", "100 family-3 samples calibrate to 1 within 1e-9"),
+    ("planes_case4", "100 family-4 samples calibrate to 1 within 1e-9"),
+    ("case4_rows", "family-4 bases satisfy the symplectic row condition within 1e-9"),
+    ("case4_perturb", "perturbing the family-4 common angle drops the value below 1 - 1e-6"),
+    ("minor_identities", "split-row minor identities hold over 100 seeded unitaries"),
+    ("closed_form", "evaluation matches the trigonometric closed form on 50 seeded normal forms"),
+    ("kaehler_roundtrip", "angle recovery returns the sine multiset on 25 seeded normal forms"),
+    ("gradient_check", "analytic frame gradient matches central differences on 20 seeded pairs"),
+    ("spinor_value_bound", "the full spinor product stays below sqrt(2) on random even-grade frames"),
+    ("comass_blade", "search on a unit coordinate blade returns 1"),
+    ("comass_phi", "reduced search on the calibration attains 1 with ratio at least 294"),
+    ("comass_never_exceed", "reduced searches on declared calibrations never exceed 1 + 1e-9"),
+    ("federer_float", "float shuffle re-evaluation of the diagonal product matches 147/128"),
+)
+
 
 def test_exact_suite_passes(exact_report):
     assert exact_report.passed
@@ -52,6 +98,14 @@ def test_report_json_shape(exact_report):
     assert set(doc["checks"][0]) == {"check_id", "claim", "status", "measured", "expected", "tolerance"}
     # serialization is a pure function of the report
     assert exact_report.to_json() == exact_report.to_json()
+
+
+def test_suite_ids_and_claims_are_pinned(monkeypatch):
+    for table in ("_EXACT_CHECKS", "_NUMERIC_CHECKS"):
+        stubbed = tuple((cid, claim, FAKE_PASS[2]) for cid, claim, _ in getattr(cli, table))
+        monkeypatch.setattr(cli, table, stubbed)
+    rep = run_suite("all", seed=0)
+    assert [(c.check_id, c.claim) for c in rep.checks] == list(SUITE_ALL)
 
 
 def test_selection_is_validated():
@@ -95,14 +149,17 @@ def test_verify_verb_fail_exit_code(monkeypatch, capsys):
     assert "OVERALL FAIL" in capsys.readouterr().out
 
 
-def test_default_seed_reads_environment(monkeypatch):
+def test_default_seed_reads_environment(monkeypatch, capsys):
     monkeypatch.delenv("CALIBENCH_SEED", raising=False)
     assert _default_seed() == 0
     monkeypatch.setenv("CALIBENCH_SEED", "17")
     assert _default_seed() == 17
-    monkeypatch.setenv("CALIBENCH_SEED", "seven")
-    with pytest.raises(SystemExit):
-        _default_seed()
+    for bad in ("seven", "-1"):
+        monkeypatch.setenv("CALIBENCH_SEED", bad)
+        with pytest.raises(SystemExit) as exc:
+            _default_seed()
+        assert exc.value.code == 2
+        assert "CALIBENCH_SEED" in capsys.readouterr().err
 
 
 def test_environment_seed_flows_into_report(monkeypatch, tmp_path):
@@ -135,6 +192,31 @@ def test_comass_verb(capsys):
     assert doc["form_name"] == "omega1"
     assert abs(doc["best_value"] - 1.0) < 1e-6
     assert "best" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["comass", "--form", "omega1", "--restarts", "0"],
+    ["comass", "--form", "omega1", "--restarts", "1", "--iters", "-5"],
+    ["comass", "--form", "omega1", "--restarts", "1", "--iters", "1", "--tol", "nan"],
+    ["comass", "--form", "omega1", "--restarts", "1", "--iters", "1", "--seed", "-1"],
+    ["planes", "--case", "1", "--count", "-3"],
+])
+def test_bad_numbers_exit_2_with_a_message(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, calibench.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_comass_unknown_form(capsys):

