@@ -410,16 +410,22 @@ def _chk_minor_identities(seed, rng=None):
     return measured, "res < 1e-10, mixed < 1e-10, bound <= 1", 1e-10, ok
 
 
+def _normal_form(rng):
+    """A random unitary basis with sorted acute angles; half the time the
+    last angle is redrawn in [theta_3, pi]."""
+    U = grassmann.sample_group("u", rng)
+    th = np.sort(rng.uniform(0, math.pi / 2, 4))
+    if rng.uniform() < 0.5:
+        th[3] = rng.uniform(th[2], math.pi)
+    return grassmann.NormalFormSpec(U, tuple(float(t) for t in th))
+
+
 def _chk_closed_form(seed):
     phi = _phi()
     rng = np.random.default_rng([seed, 24])
     worst = 0.0
     for _ in range(50):
-        U = grassmann.sample_group("u", rng)
-        th = np.sort(rng.uniform(0, math.pi / 2, 4))
-        if rng.uniform() < 0.5:
-            th[3] = rng.uniform(th[2], math.pi)
-        spec = grassmann.NormalFormSpec(U, tuple(float(t) for t in th))
+        spec = _normal_form(rng)
         worst = max(worst, abs(forms.evaluate(phi, grassmann.realize(spec))
                                - grassmann.calibration_value_closed(spec)))
     return _fmt(worst), "<= " + _fmt(PLANE_TOL), PLANE_TOL, worst <= PLANE_TOL
@@ -429,13 +435,9 @@ def _chk_kaehler_roundtrip(seed):
     rng = np.random.default_rng([seed, 25])
     worst = 0.0
     for _ in range(25):
-        U = grassmann.sample_group("u", rng)
-        th = np.sort(rng.uniform(0, math.pi / 2, 4))
-        if rng.uniform() < 0.5:
-            th[3] = rng.uniform(th[2], math.pi)
-        spec = grassmann.NormalFormSpec(U, tuple(float(t) for t in th))
+        spec = _normal_form(rng)
         ang, _sign = grassmann.kaehler_angles(grassmann.realize(spec))
-        worst = max(worst, float(np.abs(np.sort(np.sin(ang)) - np.sort(np.sin(th))).max()))
+        worst = max(worst, float(np.abs(np.sort(np.sin(ang)) - np.sort(np.sin(spec.angles))).max()))
     return _fmt(worst), "<= 1e-08", 1e-8, worst <= 1e-8
 
 
@@ -678,8 +680,12 @@ def _cmd_verify(args):
     n = len(report.checks)
     print(f"OVERALL {'PASS' if report.passed else 'FAIL'} ({n} checks, {dt:.1f}s, seed {report.seed})")
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(report.to_json())
+        except OSError as e:
+            print(f"cannot write {args.json}: {e}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

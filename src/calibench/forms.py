@@ -378,50 +378,25 @@ def pullback(a, L):
     """Pullback along the linear map with matrix L: (L*a)(v...) = a(Lv...).
 
     Exact: entries of L are converted to Fractions (floats convert exactly,
-    being binary rationals).  Each coordinate 1-form E_i pulls back to row i
-    of L; blades expand incrementally with like-term collection.
+    being binary rationals).  Each coordinate 1-form E_i pulls back to the
+    1-form with row i of L as coefficients, and each blade to the wedge of
+    its pulled-back 1-forms.
     """
     Lm = np.asarray(L, dtype=object)
     if Lm.shape != (a.n, a.n):
         raise ValueError(f"matrix must be {a.n}x{a.n}, got {Lm.shape}")
-    rows = []
-    for i in range(a.n):
-        row = []
-        for j in range(a.n):
-            x = Lm[i, j]
-            c = Fraction(x) if isinstance(x, (float, np.floating)) else _exact(x)
-            if c:
-                row.append((1 << j, c))
-        rows.append(row)
-    out = {}
+    rows = [
+        RealForm(a.n, {1 << j: Fraction(x) if isinstance(x, (float, np.floating)) else x
+                       for j, x in enumerate(Lm[i])})
+        for i in range(a.n)
+    ]
+    out = RealForm(a.n)
     for m, coeff in a._terms.items():
-        acc = {0: coeff}
+        blade = RealForm(a.n, {0: coeff})
         for i in mask_indices(m):
-            nxt = {}
-            for pm, pc in acc.items():
-                for jm, lc in rows[i - 1]:
-                    if pm & jm:
-                        continue
-                    c = pc * lc
-                    if reorder_sign(pm, jm) < 0:
-                        c = -c
-                    s = nxt.get(pm | jm, Fraction(0)) + c
-                    if s:
-                        nxt[pm | jm] = s
-                    else:
-                        nxt.pop(pm | jm, None)
-            acc = nxt
-            if not acc:
-                break
-        for mm, cc in acc.items():
-            s = out.get(mm, Fraction(0)) + cc
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
-    f = RealForm(a.n)
-    f._terms = out
-    return f
+            blade = wedge(blade, rows[i - 1])
+        out = out + blade
+    return out
 
 
 # complex-valued forms --------------------------------------------------------
@@ -486,13 +461,6 @@ def cwedge(a, b):
     )
 
 
-def cwedge_power(a, k):
-    out = ComplexForm(RealForm(a.n, {0: 1}))
-    for _ in range(k):
-        out = cwedge(out, a)
-    return out
-
-
 # serialization ---------------------------------------------------------------
 
 
@@ -509,7 +477,7 @@ def form_from_dict(d):
     if not isinstance(d, dict) or set(d) != {"n", "terms"}:
         raise SchemaError("top level must be an object with exactly the keys 'n' and 'terms'")
     n = d["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("'n' must be a positive integer")
     if not isinstance(d["terms"], list):
         raise SchemaError("'terms' must be a list")
@@ -519,7 +487,7 @@ def form_from_dict(d):
         if not isinstance(t, dict) or set(t) != {"blade", "num", "den"}:
             raise SchemaError("each term needs exactly the keys 'blade', 'num', 'den'")
         blade = t["blade"]
-        if not isinstance(blade, list) or not all(isinstance(i, int) for i in blade):
+        if not isinstance(blade, list) or not all(type(i) is int for i in blade):
             raise SchemaError("'blade' must be a list of integers")
         if any(i < 1 or i > n for i in blade):
             raise SchemaError(f"blade index out of range 1..{n}: {blade}")
@@ -530,9 +498,11 @@ def form_from_dict(d):
             raise SchemaError(f"duplicate blade {blade}")
         seen.add(key)
         try:
+            if not (isinstance(t["num"], str) and isinstance(t["den"], str)):
+                raise ValueError
             num = int(t["num"])
             den = int(t["den"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise SchemaError("'num' and 'den' must be decimal integer strings") from None
         if den == 0:
             raise SchemaError("zero denominator")

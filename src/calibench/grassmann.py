@@ -8,7 +8,9 @@ an 8x8 unitary matrix [e_1..e_8] and four angles: plane columns are
 
 with realify interleaving real and imaginary parts (standard complex
 structure).  theta_1 <= theta_2 <= theta_3 in [0, pi/2], theta_4 in
-[theta_3, pi]; the phase is the argument of det of the unitary.
+[theta_3, pi]; the phase is the argument of det of the unitary.  Calibrated
+family 3 uses the same recipe on a block-diagonal basis diag(U1, U2) with
+angles (t1, t1, t2, t2), one calibrated 4-plane per C^4 factor.
 
 The module also carries the two exact Federer-style product routes for
 middle-degree forms, the 4x4 minor identities of the split frame rows, and a
@@ -46,7 +48,6 @@ __all__ = [
     "realize",
     "kaehler_angles",
     "sample_group",
-    "split_cayley_frame",
     "gen_calibrated",
     "calibration_value_closed",
     "symplectic_row_value",
@@ -78,7 +79,7 @@ class NormalFormSpec:
         U = np.asarray(self.matrix, dtype=complex)
         if U.shape != (8, 8):
             raise ValueError("matrix must be 8x8")
-        if np.linalg.norm(U.conj().T @ U - np.eye(8)) > _UNITARY_RESIDUAL:
+        if not np.linalg.norm(U.conj().T @ U - np.eye(8)) <= _UNITARY_RESIDUAL:
             raise ValueError("matrix is not unitary to 1e-10")
         th = tuple(float(t) for t in self.angles)
         if len(th) != 4:
@@ -114,17 +115,20 @@ def realify(z):
     return out
 
 
-def realize(spec):
-    """16x8 orthonormal frame of the normal-form plane."""
-    U = spec.matrix
-    th = spec.angles
+def _plane(U, angles):
+    """16x8 frame of the normal-form recipe on the unitary basis U."""
     cols = []
-    for m in range(4):
+    for m, t in enumerate(angles):
         e_odd = U[:, 2 * m]
         e_even = U[:, 2 * m + 1]
         cols.append(realify(e_odd))
-        cols.append(realify(1j * e_odd * math.cos(th[m]) + e_even * math.sin(th[m])))
+        cols.append(realify(1j * e_odd * math.cos(t) + e_even * math.sin(t)))
     return np.column_stack(cols)
+
+
+def realize(spec):
+    """16x8 orthonormal frame of the normal-form plane."""
+    return _plane(spec.matrix, spec.angles)
 
 
 # multiplication by i on realify's interleaved coordinates: (x, y) -> (-y, x)
@@ -143,7 +147,7 @@ def kaehler_angles(frame):
     M = np.asarray(frame, dtype=float)
     if M.shape != (16, 8):
         raise ValueError("frame must be 16x8")
-    if np.linalg.norm(M.T @ M - np.eye(8)) > 1e-8:
+    if not np.linalg.norm(M.T @ M - np.eye(8)) <= 1e-8:
         raise ValueError("frame is not orthonormal")
     K = (_J16 @ M).T @ M
     s = np.linalg.svd(K, compute_uv=False)
@@ -226,39 +230,14 @@ class PlaneSample:
         return d
 
 
-def _realify4_block(z, offset):
-    """C^4 vector into R^16 rows [offset, offset+8)."""
-    out = np.zeros(16)
-    out[offset:offset + 8] = realify(z)
-    return out
-
-
-def split_cayley_frame(u_left, u_right, theta_left, theta_right):
-    """Product of one calibrated 4-plane per C^4 factor.
-
-    Each factor plane is spanned by realify(e1), realify(i e1 cos(t) +
-    e2 sin(t)), realify(e3), realify(i e3 cos(t) + e4 sin(t)) for the factor's
-    own determinant-one basis and angle."""
-    cols = []
-    for (U_f, th, off) in ((u_left, theta_left, 0), (u_right, theta_right, 8)):
-        U_f = np.asarray(U_f, dtype=complex)
-        if U_f.shape != (4, 4):
-            raise ValueError("factor basis must be 4x4")
-        for m in range(2):
-            e_odd = U_f[:, 2 * m]
-            e_even = U_f[:, 2 * m + 1]
-            cols.append(_realify4_block(e_odd, off))
-            cols.append(_realify4_block(1j * e_odd * math.cos(th) + e_even * math.sin(th), off))
-    return np.column_stack(cols)
-
-
 def gen_calibrated(case, count, seed):
     """Sample `count` calibrated planes of one of the four families.
 
     1: angles pi/2 with a determinant-one unitary basis.
     2: angles 0 (complex 4-planes), any unitary basis.
-    3: products of one calibrated 4-plane per C^4 factor (independent
-       determinant-one 4x4 bases and angles).
+    3: the normal form on diag(U1, U2) with angles (t1, t1, t2, t2), for
+       independent determinant-one 4x4 bases and angles in [0, pi/2): one
+       calibrated 4-plane per C^4 factor.
     4: common angle in (0, pi/2) on a block-diagonal determinant-one basis
        composed with a compact symplectic matrix.
     """
@@ -273,28 +252,26 @@ def gen_calibrated(case, count, seed):
             U = sample_group("u", rng)
             spec = NormalFormSpec(U, (0.0,) * 4)
             out.append(PlaneSample(2, realize(spec), spec))
-        elif case == 3:
+        elif case in (3, 4):
             U1 = sample_group("su", rng, n=4)
             U2 = sample_group("su", rng, n=4)
-            th1 = float(rng.uniform(0, math.pi / 2))
-            th2 = float(rng.uniform(0, math.pi / 2))
-            frame = split_cayley_frame(U1, U2, th1, th2)
-            meta = {
-                "angles": [th1, th2],
-                "basis_left_re": U1.real.tolist(),
-                "basis_left_im": U1.imag.tolist(),
-                "basis_right_re": U2.real.tolist(),
-                "basis_right_im": U2.imag.tolist(),
-            }
-            out.append(PlaneSample(3, frame, None, meta))
-        elif case == 4:
-            U1 = sample_group("su", rng, n=4)
-            U2 = sample_group("su", rng, n=4)
-            S = sample_group("sp4", rng)
-            U = np.block([[U1, np.zeros((4, 4))], [np.zeros((4, 4)), U2]]) @ S
-            th = float(rng.uniform(0.05, math.pi / 2 - 0.05))
-            spec = NormalFormSpec(U, (th,) * 4)
-            out.append(PlaneSample(4, realize(spec), spec, {"theta": th}))
+            D = np.block([[U1, np.zeros((4, 4))], [np.zeros((4, 4)), U2]])
+            if case == 3:
+                th1 = float(rng.uniform(0, math.pi / 2))
+                th2 = float(rng.uniform(0, math.pi / 2))
+                meta = {
+                    "angles": [th1, th2],
+                    "basis_left_re": U1.real.tolist(),
+                    "basis_left_im": U1.imag.tolist(),
+                    "basis_right_re": U2.real.tolist(),
+                    "basis_right_im": U2.imag.tolist(),
+                }
+                out.append(PlaneSample(3, _plane(D, (th1, th1, th2, th2)), None, meta))
+            else:
+                S = sample_group("sp4", rng)
+                th = float(rng.uniform(0.05, math.pi / 2 - 0.05))
+                spec = NormalFormSpec(D @ S, (th,) * 4)
+                out.append(PlaneSample(4, realize(spec), spec, {"theta": th}))
         else:
             raise ValueError("case must be 1, 2, 3 or 4")
     return out
@@ -302,42 +279,47 @@ def gen_calibrated(case, count, seed):
 
 # closed-form evaluation of the main calibration on normal forms ---------------
 
-_ANGLE_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+# Angle pairs (i, j), ordered so that pair p ^ 1 is the complement of pair p;
+# the even indices are the primary pairs (1,2), (1,3), (1,4).
+_ANGLE_PAIRS = np.array(((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)))
+_COMPLEMENT = np.arange(6) ^ 1
+_PAIR_COLS = np.array([[2 * i, 2 * i + 1, 2 * j, 2 * j + 1] for i, j in _ANGLE_PAIRS])
 
 
-def _minor_cols(i, j):
-    return [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+def _pair_minors(R):
+    """The six 4x4 minors of the 4-row block R on the columns of each angle
+    pair, in one batched det."""
+    return np.linalg.det(R[:, _PAIR_COLS].transpose(1, 0, 2))
+
+
+def _pair_weights(s, c):
+    """s_i s_j c_k c_l for each angle pair p = (i, j) with complement (k, l)."""
+    return s[_ANGLE_PAIRS].prod(axis=1) * c[_ANGLE_PAIRS[_COMPLEMENT]].prod(axis=1)
+
+
+def _minor_table(spec):
+    """Pair minors of the top (F) and bottom (G) four basis rows, and the
+    signed-cosine mixed sum over angle pairs p = (i, j) with complement
+    (k, l): sum_p s_i s_j c_k c_l (det F_p + det G_p), complex."""
+    th = np.asarray(spec.angles)
+    det_f = _pair_minors(spec.matrix[:4])
+    det_g = _pair_minors(spec.matrix[4:])
+    return det_f, det_g, complex(_pair_weights(np.sin(th), np.cos(th)) @ (det_f + det_g))
 
 
 def calibration_value_closed(spec):
     """Trigonometric closed form of the grade-8 calibration on a normal-form
     plane: product of sines times the real part of the basis determinant,
     product of cosines, plus the mixed minor sum with signed cosines."""
-    U = spec.matrix
     th = np.asarray(spec.angles)
-    s = np.sin(th)
-    c = np.cos(th)
-    det_u = np.linalg.det(U)
-    F = U[:4, :]
-    G = U[4:, :]
-    total = float(s.prod() * det_u.real + c.prod())
-    for (i, j) in _ANGLE_PAIRS:
-        comp = [m for m in range(4) if m not in (i, j)]
-        cols = _minor_cols(i, j)
-        df = np.linalg.det(F[:, cols])
-        dg = np.linalg.det(G[:, cols])
-        total += float(s[i] * s[j] * c[comp[0]] * c[comp[1]] * (df + dg).real)
-    return total
+    _, _, mixed = _minor_table(spec)
+    return float(np.sin(th).prod() * np.linalg.det(spec.matrix).real + np.cos(th).prod()
+                 + mixed.real)
 
 
 def symplectic_row_value(U):
     """Real part of half the squared symplectic form on the first four rows."""
-    U = np.asarray(U, dtype=complex)
-    R = U[:4, :]
-    total = 0.0 + 0.0j
-    for (i, j) in _ANGLE_PAIRS:
-        total += np.linalg.det(R[:, _minor_cols(i, j)])
-    return float(total.real)
+    return float(_pair_minors(np.asarray(U, dtype=complex)[:4]).sum().real)
 
 
 # minor identities --------------------------------------------------------------
@@ -345,17 +327,12 @@ def symplectic_row_value(U):
 
 @dataclass(frozen=True)
 class MinorCheckReport:
-    """Split-row minor data for the angle pairs (1,2), (1,3), (1,4)."""
+    """Residuals and bounds of the split-row minor identities of one basis."""
 
-    pair_labels: tuple
-    det_f: tuple
-    det_g: tuple
-    det_residuals: tuple
     max_residual: float
     beta_value: float
     m_theta: float
     mixed_residual: float
-    tol: float = PLANE_TOL
 
 
 @functools.cache
@@ -369,16 +346,12 @@ def _mixed_form():
     return wedge(tot.re, om2_half), wedge(tot.im, om2_half)
 
 
-_PRIMARY_PAIRS = ((0, 1), (0, 2), (0, 3))
-
-
 def minor_identity_check(spec):
     """Verify the split-row minor identities of one normal-form basis.
 
     * det(G_p) = phase * conj(det(F_{p^c})) for every angle pair p, where F
       and G are the top and bottom 4 rows and p^c is the complementary pair
-      (minors of the three primary pairs are reported, the residual maximum
-      covers all six),
+      (the maximum residual is reported),
     * the triple-sum bound value |det F_p + phase conj(det F_{p^c})| summed
       over the primary pairs (at most 1 for unitary input),
     * the largest mixed trigonometric weight among the primary pairs, with
@@ -386,58 +359,18 @@ def minor_identity_check(spec):
     * the mixed 8-form evaluated on the realized plane against the closed
       minor sum with signed cosines (residual reported).
     """
-    U = spec.matrix
-    phase = np.linalg.det(U)
-    F = U[:4, :]
-    G = U[4:, :]
-
-    def df(i, j):
-        return np.linalg.det(F[:, _minor_cols(i, j)])
-
-    def dg(i, j):
-        return np.linalg.det(G[:, _minor_cols(i, j)])
-
-    def comp(i, j):
-        return tuple(m for m in range(4) if m not in (i, j))
-
-    max_residual = max(
-        float(abs(dg(i, j) - phase * df(*comp(i, j)).conjugate()))
-        for (i, j) in _ANGLE_PAIRS
-    )
-    det_f, det_g, residuals = [], [], []
-    beta = 0.0
-    for (i, j) in _PRIMARY_PAIRS:
-        det_f.append(complex(df(i, j)))
-        det_g.append(complex(dg(i, j)))
-        residuals.append(float(abs(det_g[-1] - phase * df(*comp(i, j)).conjugate())))
-        beta += float(abs(det_f[-1] + phase * df(*comp(i, j)).conjugate()))
-
+    det_f, det_g, closed = _minor_table(spec)
+    dual = np.linalg.det(spec.matrix) * det_f[_COMPLEMENT].conj()
     th = np.asarray(spec.angles)
-    s = np.sin(th)
-    c = np.cos(th)
-    cabs = np.abs(c)
-    m_theta = max(
-        float(s[i] * s[j] * cabs[c0] * cabs[c1] + cabs[i] * cabs[j] * s[c0] * s[c1])
-        for (i, j) in _PRIMARY_PAIRS
-        for (c0, c1) in [comp(i, j)]
-    )
-
+    w = _pair_weights(np.sin(th), np.abs(np.cos(th)))
     frame = realize(spec)
     re_f, im_f = _mixed_form()
     measured = complex(evaluate(re_f, frame), evaluate(im_f, frame))
-    closed = 0.0 + 0.0j
-    for (i, j) in _ANGLE_PAIRS:
-        c0, c1 = comp(i, j)
-        closed += s[i] * s[j] * c[c0] * c[c1] * (df(i, j) + dg(i, j))
     return MinorCheckReport(
-        pair_labels=((1, 2), (1, 3), (1, 4)),
-        det_f=tuple(det_f),
-        det_g=tuple(det_g),
-        det_residuals=tuple(residuals),
-        max_residual=max_residual,
-        beta_value=beta,
-        m_theta=m_theta,
-        mixed_residual=float(abs(measured - closed)),
+        max_residual=float(np.abs(det_g - dual).max()),
+        beta_value=float(np.abs(det_f + dual)[0::2].sum()),
+        m_theta=float((w + w[_COMPLEMENT])[0::2].max()),
+        mixed_residual=abs(measured - closed),
     )
 
 

@@ -143,6 +143,13 @@ def test_verify_verb_prints_and_writes(monkeypatch, tmp_path, capsys):
     assert doc["overall"] == "pass" and doc["seed"] == 3
 
 
+def test_verify_verb_unwritable_json_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_EXACT_CHECKS", (FAKE_PASS,))
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--suite", "exact", "--json", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
 def test_verify_verb_fail_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_EXACT_CHECKS", (FAKE_FAIL,))
     assert main(["verify", "--suite", "exact"]) == 1
@@ -170,17 +177,18 @@ def test_environment_seed_flows_into_report(monkeypatch, tmp_path):
     assert json.loads(out.read_text())["seed"] == 9
 
 
-def test_planes_verb_output(capsys):
-    assert main(["planes", "--case", "2", "--count", "2", "--seed", "1"]) == 0
+@pytest.mark.parametrize("case", ["2", "3"])
+def test_planes_verb_output(case, capsys):
+    assert main(["planes", "--case", case, "--count", "2", "--seed", "1"]) == 0
     first = capsys.readouterr().out
     doc = json.loads(first)
     assert doc["schema"] == SCHEMA_VERSION
-    assert doc["case"] == 2 and doc["seed"] == 1
+    assert doc["case"] == int(case) and doc["seed"] == 1
     assert len(doc["planes"]) == 2
     for p in doc["planes"]:
         assert abs(p["value"] - 1.0) <= doc["plane_tol"]
         assert len(p["frame"]) == 16
-    assert main(["planes", "--case", "2", "--count", "2", "--seed", "1"]) == 0
+    assert main(["planes", "--case", case, "--count", "2", "--seed", "1"]) == 0
     assert capsys.readouterr().out == first
 
 

@@ -343,6 +343,10 @@ class TestSerialization:
             {"n": 4, "terms": [{"blade": [1], "num": "0", "den": "1"}]},
             {"n": 4, "terms": [{"blade": [1], "num": "1"}]},
             {"n": 4, "terms": [good["terms"][0], good["terms"][0]]},
+            {"n": 4, "terms": [{"blade": [1], "num": 1.5, "den": "1"}]},
+            {"n": 4, "terms": [{"blade": [1], "num": "1", "den": 2}]},
+            {"n": True, "terms": [{"blade": [1], "num": "1", "den": "1"}]},
+            {"n": 4, "terms": [{"blade": [True], "num": "1", "den": "1"}]},
         ]
         for d in bad_cases:
             with pytest.raises(SchemaError):
