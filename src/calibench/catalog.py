@@ -139,14 +139,6 @@ class CatalogEntry:
     claim: str
     comass_expected: Fraction | None = None
 
-    @property
-    def n(self):
-        return self.form.n
-
-    @property
-    def grade(self):
-        return self.form.grade()
-
 
 def build_standard(kind, pairing, k=None):
     """Standard forms of a complex pairing: kaehler_power k, re_omega, im_omega,
@@ -218,18 +210,14 @@ def _oct_from_coords(v):
     return Octonion([Fraction(c) for c in v])
 
 
-def build_cayley(route="all"):
+def build_cayley():
     """The Cayley 4-form on R^8.
 
-    Routes: 'basis_list' (frozen expansion), 'chain_alt' (alternation of the
-    real part of the conjugation chain), 'complex_identity'
-    (Re(volume) - half the squared Kaehler form of the i-multiplication
-    structure).  With route='all' the three are compared exactly and any
-    mismatch raises RouteDisagreement.
+    Three routes, compared exactly: the frozen expansion, the alternation of
+    the real part of the conjugation chain, and Re(volume) minus half the
+    squared Kaehler form of the i-multiplication structure.  Any mismatch
+    raises RouteDisagreement.
     """
-
-    def from_list():
-        return RealForm(8, CAYLEY_TERMS)
 
     def from_chain():
         def T(x1, x2, x3, x4):
@@ -243,13 +231,9 @@ def build_cayley(route="all"):
         om = kaehler_form(J8)
         return holomorphic_volume(J8).re - wedge(om, om) * Fraction(1, 2)
 
-    routes = {"basis_list": from_list, "chain_alt": from_chain, "complex_identity": from_complex}
-    if route != "all":
-        return CatalogEntry("cayley", routes[route](), "Cayley 4-form on R^8", Fraction(1))
-    built = {name: fn() for name, fn in routes.items()}
-    ref = built["basis_list"]
-    for name, f in built.items():
-        if f != ref:
+    ref = RealForm(8, CAYLEY_TERMS)
+    for name, fn in (("chain_alt", from_chain), ("complex_identity", from_complex)):
+        if fn() != ref:
             raise RouteDisagreement(f"cayley route {name} disagrees with the frozen expansion")
     return CatalogEntry("cayley", ref, "Cayley 4-form on R^8, squared norm 14", Fraction(1))
 

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,16 +54,6 @@ class CheckResult:
     expected: str
     tolerance: float
 
-    def to_dict(self):
-        return {
-            "check_id": self.check_id,
-            "claim": self.claim,
-            "status": self.status,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -75,17 +65,9 @@ class SuiteReport:
     def passed(self):
         return all(c.status == "pass" for c in self.checks)
 
-    def to_dict(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "suite": self.suite,
-            "seed": self.seed,
-            "overall": "pass" if self.passed else "fail",
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        doc = {"schema": SCHEMA_VERSION, "overall": "pass" if self.passed else "fail", **asdict(self)}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # exact checks -------------------------------------------------------------------
@@ -286,7 +268,7 @@ def _chk_phi_phase_family(seed):
 
 def _chk_cayley_routes(seed):
     try:
-        cat.build_cayley(route="all")
+        cat.build_cayley()
         return "agree", "agree", 0.0, True
     except cat.RouteDisagreement as e:
         return f"disagree: {e}", "agree", 0.0, False
@@ -745,7 +727,7 @@ def _cmd_export(args):
     try:
         export_form(args.form, args.out)
     except KeyError as e:
-        print(str(e), file=sys.stderr)
+        print(e.args[0], file=sys.stderr)
         return 2
     except OSError as e:
         print(f"cannot write {args.out}: {e}", file=sys.stderr)

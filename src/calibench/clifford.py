@@ -213,10 +213,3 @@ def endo_to_form(A):
     f._terms = terms
     return f
 
-
-def blade_coefficient_on_spinor(mask, src_index, dst_index):
-    """<e_dst, rep16(mask) e_src> via the blade tables, exact integer."""
-    P, S = _blade_tables()
-    if P[mask, src_index] != dst_index:
-        return 0
-    return int(S[mask, src_index])

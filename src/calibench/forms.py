@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -415,32 +416,11 @@ class ComplexForm:
         self.re = re
         self.im = im
 
-    @property
-    def n(self):
-        return self.re.n
-
-    def conj(self):
-        return ComplexForm(self.re, -self.im)
-
-    def times_i(self):
-        return ComplexForm(-self.im, self.re)
-
     def __add__(self, other):
         return ComplexForm(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other):
-        return ComplexForm(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return ComplexForm(-self.re, -self.im)
-
     def __mul__(self, scalar):
         return ComplexForm(self.re * scalar, self.im * scalar)
-
-    __rmul__ = __mul__
-
-    def __xor__(self, other):
-        return cwedge(self, other)
 
     def __eq__(self, other):
         return isinstance(other, ComplexForm) and self.re == other.re and self.im == other.im
@@ -497,16 +477,13 @@ def form_from_dict(d):
         if key in seen:
             raise SchemaError(f"duplicate blade {blade}")
         seen.add(key)
-        try:
-            if not (isinstance(t["num"], str) and isinstance(t["den"], str)):
-                raise ValueError
-            num = int(t["num"])
-            den = int(t["den"])
-        except ValueError:
-            raise SchemaError("'num' and 'den' must be decimal integer strings") from None
-        if den == 0:
+        num, den = t["num"], t["den"]
+        if not (isinstance(num, str) and re.fullmatch("-?[0-9]+", num)
+                and isinstance(den, str) and re.fullmatch("[0-9]+", den)):
+            raise SchemaError("'num' and 'den' must be ASCII decimal integer strings, 'den' unsigned")
+        if int(den) == 0:
             raise SchemaError("zero denominator")
-        c = Fraction(num, den)
+        c = Fraction(int(num), int(den))
         if c == 0:
             raise SchemaError(f"zero coefficient stored for blade {blade}")
         terms[blade_mask(key)] = c

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -92,11 +92,6 @@ class NormalFormSpec:
             raise ValueError("need theta3 <= theta4 <= pi")
         object.__setattr__(self, "matrix", U)
         object.__setattr__(self, "angles", th)
-
-    @property
-    def phase(self):
-        """Argument of det(matrix)."""
-        return float(np.angle(np.linalg.det(self.matrix)))
 
     def to_dict(self):
         return {
@@ -241,6 +236,8 @@ def gen_calibrated(case, count, seed):
     4: common angle in (0, pi/2) on a block-diagonal determinant-one basis
        composed with a compact symplectic matrix.
     """
+    if case not in (1, 2, 3, 4):
+        raise ValueError("case must be 1, 2, 3 or 4")
     rng = np.random.default_rng([seed, case])
     out = []
     for _ in range(count):
@@ -252,7 +249,7 @@ def gen_calibrated(case, count, seed):
             U = sample_group("u", rng)
             spec = NormalFormSpec(U, (0.0,) * 4)
             out.append(PlaneSample(2, realize(spec), spec))
-        elif case in (3, 4):
+        else:
             U1 = sample_group("su", rng, n=4)
             U2 = sample_group("su", rng, n=4)
             D = np.block([[U1, np.zeros((4, 4))], [np.zeros((4, 4)), U2]])
@@ -272,8 +269,6 @@ def gen_calibrated(case, count, seed):
                 th = float(rng.uniform(0.05, math.pi / 2 - 0.05))
                 spec = NormalFormSpec(D @ S, (th,) * 4)
                 out.append(PlaneSample(4, realize(spec), spec, {"theta": th}))
-        else:
-            raise ValueError("case must be 1, 2, 3 or 4")
     return out
 
 
@@ -292,11 +287,6 @@ def _pair_minors(R):
     return np.linalg.det(R[:, _PAIR_COLS].transpose(1, 0, 2))
 
 
-def _pair_weights(s, c):
-    """s_i s_j c_k c_l for each angle pair p = (i, j) with complement (k, l)."""
-    return s[_ANGLE_PAIRS].prod(axis=1) * c[_ANGLE_PAIRS[_COMPLEMENT]].prod(axis=1)
-
-
 def _minor_table(spec):
     """Pair minors of the top (F) and bottom (G) four basis rows, and the
     signed-cosine mixed sum over angle pairs p = (i, j) with complement
@@ -304,7 +294,8 @@ def _minor_table(spec):
     th = np.asarray(spec.angles)
     det_f = _pair_minors(spec.matrix[:4])
     det_g = _pair_minors(spec.matrix[4:])
-    return det_f, det_g, complex(_pair_weights(np.sin(th), np.cos(th)) @ (det_f + det_g))
+    w = np.sin(th)[_ANGLE_PAIRS].prod(axis=1) * np.cos(th)[_ANGLE_PAIRS[_COMPLEMENT]].prod(axis=1)
+    return det_f, det_g, complex(w @ (det_f + det_g))
 
 
 def calibration_value_closed(spec):
@@ -331,7 +322,6 @@ class MinorCheckReport:
 
     max_residual: float
     beta_value: float
-    m_theta: float
     mixed_residual: float
 
 
@@ -354,22 +344,17 @@ def minor_identity_check(spec):
       (the maximum residual is reported),
     * the triple-sum bound value |det F_p + phase conj(det F_{p^c})| summed
       over the primary pairs (at most 1 for unitary input),
-    * the largest mixed trigonometric weight among the primary pairs, with
-      absolute cosines,
     * the mixed 8-form evaluated on the realized plane against the closed
       minor sum with signed cosines (residual reported).
     """
     det_f, det_g, closed = _minor_table(spec)
     dual = np.linalg.det(spec.matrix) * det_f[_COMPLEMENT].conj()
-    th = np.asarray(spec.angles)
-    w = _pair_weights(np.sin(th), np.abs(np.cos(th)))
     frame = realize(spec)
     re_f, im_f = _mixed_form()
     measured = complex(evaluate(re_f, frame), evaluate(im_f, frame))
     return MinorCheckReport(
         max_residual=float(np.abs(det_g - dual).max()),
         beta_value=float(np.abs(det_f + dual)[0::2].sum()),
-        m_theta=float((w + w[_COMPLEMENT])[0::2].max()),
         mixed_residual=abs(measured - closed),
     )
 
@@ -571,20 +556,10 @@ class ComassReport:
     wirt_ratio: float | None
 
     def to_dict(self):
-        d = {
-            "form_name": self.form_name,
-            "best_value": self.best_value,
-            "best_restart": self.best_restart,
-            "best_frame": [[float(x) for x in row] for row in self.best_frame],
-            "restarts": self.restarts,
-            "iters": self.iters,
-            "tol": self.tol,
-            "seed": self.seed,
-            "plane_tol": self.plane_tol,
-            "max_abs_coeff": self.max_abs_coeff,
-        }
-        if self.wirt_ratio is not None:
-            d["wirt_ratio"] = self.wirt_ratio
+        d = asdict(self)
+        d["best_frame"] = self.best_frame.tolist()
+        if self.wirt_ratio is None:
+            del d["wirt_ratio"]
         return d
 
 
@@ -602,6 +577,8 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
         raise ValueError("comass search needs a homogeneous nonzero form")
     if k == 0:
         raise ValueError("comass search needs grade >= 1")
+    if restarts < 1:
+        raise ValueError("comass search needs at least one restart")
     n = form.n
     rows, coeffs = _term_arrays(form)
 

@@ -10,8 +10,8 @@ for quaternions a, b.  These extend the four displayed unit rules bilinearly
 and are cross-checked, entry by entry, against an independent recursive
 Cayley-Dickson oracle (R -> C -> H -> O); any mismatch raises at import.
 
-Fourfold cross product, the right-multiplication chain Q and the alternating
-conjugation chain P live here too; the calibration catalog consumes them.
+The right-multiplication chain Q and the alternating conjugation chain P live
+here too; the calibration catalog consumes them.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from fractions import Fraction
 __all__ = [
     "Octonion",
     "MULT_TABLE",
-    "mult_table_json",
-    "cross3",
-    "cross4",
     "chain_product",
     "conjugation_chain",
 ]
@@ -143,16 +140,6 @@ if MULT_TABLE != _oracle_table():  # pragma: no cover
     raise AssertionError("octonion table disagrees with the doubling oracle")
 
 
-def mult_table_json():
-    """The 8x8x8 structure tensor as nested lists: t[a][b][c] with e_a e_b = sum_c t e_c."""
-    out = [[[0] * 8 for _ in range(8)] for _ in range(8)]
-    for a in range(8):
-        for b in range(8):
-            s, c = MULT_TABLE[a][b]
-            out[a][b][c] = s
-    return out
-
-
 class Octonion:
     """Octonion with exact Fraction coordinates in the basis 1,i,j,k,e,ie,je,ke."""
 
@@ -167,10 +154,6 @@ class Octonion:
     @staticmethod
     def basis(i):
         return Octonion(tuple(Fraction(int(m == i)) for m in range(8)))
-
-    @staticmethod
-    def zero():
-        return Octonion((0,) * 8)
 
     @staticmethod
     def from_vector(v):
@@ -220,9 +203,6 @@ class Octonion:
     def real(self):
         return self.co[0]
 
-    def coord(self, i):
-        return self.co[i]
-
     def __repr__(self):
         parts = [f"{c}*{BASIS_NAMES[m]}" for m, c in enumerate(self.co) if c]
         return "Octonion(" + (" + ".join(parts) if parts else "0") + ")"
@@ -230,33 +210,6 @@ class Octonion:
 
 def _reject(c):
     raise TypeError("octonion coordinates must be exact (int/Fraction), not float")
-
-
-def cross3(x, y, z):
-    """Threefold cross product (x (conj(y) z) - z (conj(y) x)) / 2.
-
-    The middle argument is conjugated in both terms; that is the version that
-    is alternating and feeds an alternating fourfold product.
-    """
-    a = x * (y.conj() * z)
-    b = z * (y.conj() * x)
-    return (a - b).scale(Fraction(1, 2))
-
-
-def cross4(x, y, z, w):
-    """Fourfold cross product by the alternating recursion over threefold crosses."""
-    t = (
-        x.conj() * cross3(y, z, w)
-        - y.conj() * cross3(z, w, x)
-        + z.conj() * cross3(w, x, y)
-        - w.conj() * cross3(x, y, z)
-    )
-    return t.scale(Fraction(1, 4))
-
-
-def cross4_orthogonal(x, y, z, w):
-    """Shortcut valid for pairwise orthogonal arguments: conj(x) (y (conj(z) w))."""
-    return x.conj() * (y * (z.conj() * w))
 
 
 def chain_product(xs):

@@ -102,10 +102,7 @@ def test_re_omega_norms():
 
 class TestCayley:
     def test_routes_agree(self):
-        ref = RealForm(8, CAYLEY_TERMS)
-        for route in ("basis_list", "chain_alt", "complex_identity"):
-            assert build_cayley(route).form == ref
-        assert build_cayley().form == ref
+        assert build_cayley().form == RealForm(8, CAYLEY_TERMS)
 
     def test_term_structure(self):
         f = build_cayley().form

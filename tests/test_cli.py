@@ -248,7 +248,7 @@ def test_export_import_roundtrip(tmp_path):
 
 def test_export_verb_error_paths(tmp_path, capsys):
     assert main(["export", "--form", "nope", "--out", str(tmp_path / "x.json")]) == 2
-    assert "unknown form" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("unknown form")
     assert main(["export", "--form", "cayley", "--out", str(tmp_path / "no_dir" / "x.json")]) == 2
     assert "cannot write" in capsys.readouterr().err
 

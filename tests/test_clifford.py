@@ -168,19 +168,3 @@ def test_spinor_vector_and_outer_product():
     P = np.outer(sp, s)
     assert P[S_PRIME, S_PLUS] == 1 and P.sum() == 1
 
-
-def test_blade_coefficient_probes_match_matrix_entries():
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        k = int(rng.integers(1, 6))
-        idx = tuple(sorted(rng.choice(16, size=k, replace=False) + 1))
-        mask = 0
-        for i in idx:
-            mask |= 1 << (i - 1)
-        M = rep16(idx)
-        for src in rng.integers(0, DIM, size=8):
-            col = int(src)
-            row = int(np.nonzero(M[:, col])[0][0])
-            assert clifford.blade_coefficient_on_spinor(mask, col, row) == M[row, col]
-            other = (row + 1) % DIM
-            assert clifford.blade_coefficient_on_spinor(mask, col, other) == 0

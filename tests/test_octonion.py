@@ -1,7 +1,3 @@
-import itertools
-import json
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,10 +6,6 @@ from calibench.octonion import (
     Octonion,
     chain_product,
     conjugation_chain,
-    cross3,
-    cross4,
-    cross4_orthogonal,
-    mult_table_json,
 )
 from calibench.octonion import _cd_from_coords, _cd_mul, _cd_to_coords
 
@@ -34,17 +26,6 @@ def test_table_matches_doubling_oracle():
             got = UNITS[a] * UNITS[b]
             want = _cd_to_coords(_cd_mul(_cd_from_coords(UNITS[a].co), _cd_from_coords(UNITS[b].co)))
             assert got.co == tuple(want)
-
-
-def test_structure_tensor_is_json_ready():
-    tensor = mult_table_json()
-    assert json.loads(json.dumps(tensor)) == tensor
-    assert len(tensor) == 8 and all(len(row) == 8 for row in tensor)
-    for a in range(8):
-        for b in range(8):
-            s, c = MULT_TABLE[a][b]
-            assert tensor[a][b][c] == s
-            assert sum(map(abs, tensor[a][b])) == 1
 
 
 def test_unit_squares_and_anticommutation():
@@ -129,45 +110,6 @@ class TestQuaternionPairRules:
             for b in range(4, 8):
                 _s, c = MULT_TABLE[a][b]
                 assert c >= 4
-
-
-class TestCrossProducts:
-    @given(octonions(), octonions(), octonions())
-    @settings(max_examples=40, deadline=None)
-    def test_cross3_is_alternating(self, x, y, z):
-        assert cross3(x, y, z) == -cross3(y, x, z)
-        assert cross3(x, y, z) == -cross3(x, z, y)
-        assert cross3(x, y, x).norm_sq() == 0
-
-    @given(octonions(), octonions(), octonions())
-    @settings(max_examples=40, deadline=None)
-    def test_cross3_orthogonal_to_arguments(self, x, y, z):
-        v = cross3(x, y, z)
-        assert v.inner(x) == 0
-        assert v.inner(y) == 0
-        assert v.inner(z) == 0
-
-    def test_cross3_on_orthonormal_units(self):
-        for a, b, c in itertools.combinations(range(8), 3):
-            v = cross3(UNITS[a], UNITS[b], UNITS[c])
-            assert v.norm_sq() == 1
-
-    @given(octonions(), octonions(), octonions(), octonions())
-    @settings(max_examples=30, deadline=None)
-    def test_cross4_is_alternating(self, x, y, z, w):
-        assert cross4(x, y, z, w) == -cross4(y, x, z, w)
-        assert cross4(x, y, z, w) == -cross4(x, y, w, z)
-        assert cross4(x, y, z, x) == Octonion.zero()
-
-    def test_cross4_on_unit_quadruples(self):
-        reals = set()
-        for combo in itertools.combinations(range(8), 4):
-            args = [UNITS[i] for i in combo]
-            v = cross4(*args)
-            assert v.norm_sq() == 1
-            assert v == cross4_orthogonal(*args)
-            reals.add(v.real())
-        assert reals == {Fraction(-1), Fraction(0), Fraction(1)}
 
 
 class TestChains:
