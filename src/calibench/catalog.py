@@ -5,7 +5,7 @@ Z_j = s_j (E_{a_j} + i c_j E_{b_j}) with conjugation flag c_j and overall
 sign s_j in {+1, -1}.  The Kaehler 2-form of a pairing is sum_j c_j E_{a_j b_j}
 (the overall signs drop out), the holomorphic volume is the wedge of the Z_j.
 
-Main constructions:
+Builders return bare forms and compare their own routes:
 
 * ``build_cayley``: the 4-form on R^8 calibrating Cayley planes, via three
   independent routes that must agree exactly (a frozen 14-term list, the
@@ -15,9 +15,12 @@ Main constructions:
   128 + 70 + 48 + 48 = 294 and all coefficients are +-1.
 * ``build_spinor_family``: the forms obtained by projecting rank-one spinor
   endomorphisms; cross-checked exactly against closed-form expressions and
-  carried onto ``build_phi()`` by an explicit sign-flip pullback.
+  the reversed-structure recipe ``build_phi(W16)``.
+* ``kaehler_power``, ``sigma_half_sq`` and ``holomorphic_volume``: the
+  standard forms of a complex pairing.
 
 All disagreement paths raise ``RouteDisagreement``; nothing is patched over.
+``catalog()`` is the one place that names a form and declares its comass.
 """
 
 from __future__ import annotations
@@ -35,13 +38,11 @@ from calibench.forms import (
     RealForm,
     alternation,
     cwedge,
-    hodge_star,
     inner_product,
-    pullback,
     wedge,
     wedge_power,
 )
-from calibench.octonion import Octonion, chain_product, conjugation_chain
+from calibench.octonion import Octonion, conjugation_chain
 
 __all__ = [
     "ComplexPairing",
@@ -54,7 +55,8 @@ __all__ = [
     "W16",
     "kaehler_form",
     "holomorphic_volume",
-    "build_standard",
+    "kaehler_power",
+    "sigma_half_sq",
     "build_cayley",
     "build_phi",
     "phi_components",
@@ -132,57 +134,23 @@ def holomorphic_volume(pairing):
     return out
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    form: RealForm
-    claim: str
-    comass_expected: Fraction | None = None
+def kaehler_power(pairing, k):
+    """omega^k/k! for the Kaehler form omega of a pairing, k >= 1."""
+    if k < 1:
+        raise ValueError("kaehler_power needs k >= 1")
+    return wedge_power(kaehler_form(pairing), k) * Fraction(1, math.factorial(k))
 
 
-def build_standard(kind, pairing, k=None):
-    """Standard forms of a complex pairing: kaehler_power k, re_omega, im_omega,
-    or sigma_half_sq (the real part of half the square of the complex
-    symplectic form pairing consecutive complex coordinates)."""
-    if kind == "kaehler_power":
-        if not k or k < 1:
-            raise ValueError("kaehler_power needs k >= 1")
-        f = wedge_power(kaehler_form(pairing), k) * Fraction(1, math.factorial(k))
-        return CatalogEntry(
-            f"omega{k}",
-            f,
-            f"kaehler power omega^{k}/{k}!, squared norm C({len(pairing.pairs)},{k})",
-            Fraction(1),
-        )
-    if kind == "re_omega":
-        return CatalogEntry(
-            f"re_omega_{pairing.n}",
-            holomorphic_volume(pairing).re,
-            f"real part of the holomorphic volume, squared norm 2^{len(pairing.pairs) - 1}",
-            Fraction(1),
-        )
-    if kind == "im_omega":
-        return CatalogEntry(
-            f"im_omega_{pairing.n}",
-            holomorphic_volume(pairing).im,
-            "imaginary part of the holomorphic volume",
-            Fraction(1),
-        )
-    if kind == "sigma_half_sq":
-        m = len(pairing.pairs)
-        if m % 2:
-            raise ValueError("sigma_half_sq needs an even number of complex coordinates")
-        sigma = ComplexForm(RealForm.zero(pairing.n))
-        for j in range(0, m, 2):
-            sigma = sigma + cwedge(pairing.z(j), pairing.z(j + 1))
-        half_sq = cwedge(sigma, sigma) * Fraction(1, 2)
-        return CatalogEntry(
-            "sigma2",
-            half_sq.re,
-            "real part of half the squared complex symplectic form",
-            Fraction(1),
-        )
-    raise ValueError(f"unknown standard kind {kind!r}")
+def sigma_half_sq(pairing):
+    """The real part of half the square of the complex symplectic form
+    pairing consecutive complex coordinates."""
+    m = len(pairing.pairs)
+    if m % 2:
+        raise ValueError("sigma_half_sq needs an even number of complex coordinates")
+    sigma = ComplexForm(RealForm.zero(pairing.n))
+    for j in range(0, m, 2):
+        sigma = sigma + cwedge(pairing.z(j), pairing.z(j + 1))
+    return (cwedge(sigma, sigma) * Fraction(1, 2)).re
 
 
 # Cayley 4-form ---------------------------------------------------------------
@@ -206,10 +174,6 @@ CAYLEY_TERMS = {
 }
 
 
-def _oct_from_coords(v):
-    return Octonion([Fraction(c) for c in v])
-
-
 def build_cayley():
     """The Cayley 4-form on R^8.
 
@@ -221,9 +185,7 @@ def build_cayley():
 
     def from_chain():
         def T(x1, x2, x3, x4):
-            return conjugation_chain(
-                [_oct_from_coords(x1), _oct_from_coords(x2), _oct_from_coords(x3), _oct_from_coords(x4)]
-            ).real()
+            return conjugation_chain([Octonion(x1), Octonion(x2), Octonion(x3), Octonion(x4)]).real()
 
         return alternation(T, 4, 8)
 
@@ -235,7 +197,7 @@ def build_cayley():
     for name, fn in (("chain_alt", from_chain), ("complex_identity", from_complex)):
         if fn() != ref:
             raise RouteDisagreement(f"cayley route {name} disagrees with the frozen expansion")
-    return CatalogEntry("cayley", ref, "Cayley 4-form on R^8, squared norm 14", Fraction(1))
+    return ref
 
 
 # the grade-8 calibration on R^16 --------------------------------------------
@@ -281,25 +243,21 @@ def build_phi(pairing=STANDARD16, phase=None):
     half = Fraction(1, 2)
     expr1 = comps[0] + comps[1] + wedge(o1.re + o2.re, wedge_power(om, 2) * half)
     expr2 = comps[0] + comps[1] + comps[2] + comps[3]
-    if not cwedge(om1, o1).re.is_zero() or not cwedge(om1, o1).im.is_zero():
-        raise RouteDisagreement("om1 ^ O1 is not zero")
-    if not cwedge(om2, o2).re.is_zero() or not cwedge(om2, o2).im.is_zero():
-        raise RouteDisagreement("om2 ^ O2 is not zero")
+    for i, (om_i, o_i) in enumerate(((om1, o1), (om2, o2)), 1):
+        vanishing = cwedge(om_i, o_i)
+        if not vanishing.re.is_zero() or not vanishing.im.is_zero():
+            raise RouteDisagreement(f"om{i} ^ O{i} is not zero")
     if expr1 != expr2:
         raise RouteDisagreement("the two expressions for the grade-8 form disagree")
-    return CatalogEntry(
-        "phi",
-        expr1,
-        "grade-8 calibration on R^16, phi^phi = 294 vol, squared norm 294",
-        Fraction(1),
-    )
+    return expr1
 
 
 # spinor family ---------------------------------------------------------------
 
 
 def spinor_pullback_matrix():
-    """Diagonal sign matrix carrying the spinor grade-8 form onto build_phi().
+    """Diagonal sign matrix carrying the spinor grade-8 form onto build_phi()
+    (the ``spinor_pullback`` check compares the two).
 
     Derived by matching the reversed-structure coordinates against the
     standard ones; flips axes 1, 2, 4, 6, 9, 16.
@@ -314,14 +272,15 @@ def spinor_pullback_matrix():
 def build_spinor_family():
     """Project the three rank-one spinor endomorphisms and verify the family.
 
-    Returns a dict with keys 'psi', 'psi_prime', 'phi' (full mixed-grade
-    forms) and 'phi4_closed', 'phi8_closed' (the verified closed forms).
-    Raises RouteDisagreement if any of the exact cross-checks fails:
+    Returns a dict with keys 'psi', 'psi_prime' and 'phi' = psi + psi_prime
+    (full mixed-grade forms).  Raises RouteDisagreement unless every exact
+    comparison holds:
 
-    * grade-4: psi_4 = cayley + shifted cayley, psi'_4 = omJ ^ omJ'
-    * grade-8 closed forms for psi, psi', phi
-    * the grade-4 and grade-8 closed forms of phi
-    * pullback of the grade-8 part onto build_phi()
+    * grade 4: psi = cayley + shifted cayley, psi' = omJ ^ omJ',
+      phi = Re(OmJ + OmJ') - (omJ - omJ')^2/2
+    * grade 2: psi' = 0
+    * grade 8: the closed forms of psi, psi' and phi
+    * grade 8: phi equals the reversed-structure recipe build_phi(W16)
     """
     s = clifford.spinor_vector(clifford.S_PLUS)
     sp = clifford.spinor_vector(clifford.S_PRIME)
@@ -354,35 +313,24 @@ def build_spinor_family():
             - wedge(omJ, sixth * wedge_power(omJp, 3))
             - wedge(sixth * wedge_power(omJ, 3), omJp),
         ),
+        "phi_4": (phi.grade_part(4), OmJ.re + OmJp.re - half * wedge_power(omJ - omJp, 2)),
+        "phi_8": (
+            phi.grade_part(8),
+            f24 * wedge_power(omJ - omJp, 4)
+            + wedge(OmJ.im, OmJp.im)
+            + wedge(OmJ.re, OmJp.re)
+            - wedge(OmJ.re, half * wedge_power(omJp, 2))
+            - wedge(half * wedge_power(omJ, 2), OmJp.re),
+        ),
     }
-    phi4_closed = OmJ.re + OmJp.re - half * wedge_power(omJ - omJp, 2)
-    phi8_closed = (
-        f24 * wedge_power(omJ - omJp, 4)
-        + wedge(OmJ.im, OmJp.im)
-        + wedge(OmJ.re, OmJp.re)
-        - wedge(OmJ.re, half * wedge_power(omJp, 2))
-        - wedge(half * wedge_power(omJ, 2), OmJp.re)
-    )
-    checks["phi_4"] = (phi.grade_part(4), phi4_closed)
-    checks["phi_8"] = (phi.grade_part(8), phi8_closed)
-
     for name, (got, expect) in checks.items():
         if got != expect:
             raise RouteDisagreement(f"spinor family check {name} failed")
 
-    phiW = build_phi(W16).form
-    if phi.grade_part(8) != phiW:
+    if phi.grade_part(8) != build_phi(W16):
         raise RouteDisagreement("spinor grade-8 form does not match the reversed-structure recipe")
-    if pullback(phi.grade_part(8), spinor_pullback_matrix()) != build_phi().form:
-        raise RouteDisagreement("sign-flip pullback does not carry the spinor form onto phi")
 
-    return {
-        "psi": psi,
-        "psi_prime": psip,
-        "phi": phi,
-        "phi4_closed": phi4_closed,
-        "phi8_closed": phi8_closed,
-    }
+    return {"psi": psi, "psi_prime": psip, "phi": phi}
 
 
 NORM_TABLE_EXPECTED = {
@@ -397,35 +345,32 @@ def norm_table(f):
     return tuple(int(inner_product(f.grade_part(k), f.grade_part(k))) for k in range(0, 17, 2))
 
 
+@dataclass(frozen=True)
+class CatalogEntry:
+    name: str
+    form: RealForm
+    comass_expected: Fraction | None
+
+
 @functools.lru_cache(maxsize=None)
 def catalog():
-    """Name -> CatalogEntry for every form the CLI can address."""
-    entries = {}
-
-    def add(entry):
-        entries[entry.name] = entry
-
-    add(build_phi())
-    add(build_cayley())
-    add(build_standard("re_omega", STANDARD8))
-    add(build_standard("im_omega", STANDARD8))
-    add(build_standard("re_omega", STANDARD16))
-    add(build_standard("sigma_half_sq", STANDARD16))
+    """Name -> CatalogEntry for every form the CLI can address.  Each one is
+    a calibration, so each declares comass 1."""
+    omega8 = holomorphic_volume(STANDARD8)
+    named = {
+        "phi": build_phi(),
+        "cayley": build_cayley(),
+        "re_omega_8": omega8.re,
+        "im_omega_8": omega8.im,
+        "re_omega_16": holomorphic_volume(STANDARD16).re,
+        "sigma2": sigma_half_sq(STANDARD16),
+    }
     for k in range(1, 5):
-        add(build_standard("kaehler_power", STANDARD16, k=k))
+        named[f"omega{k}"] = kaehler_power(STANDARD16, k)
 
     fam = build_spinor_family()
-    for key, label in (("psi", "psi"), ("psi_prime", "psi_prime"), ("phi", "phi_spinor")):
-        f = fam[key]
-        for g in f.grades():
-            if g in (0,):
-                continue
-            add(
-                CatalogEntry(
-                    f"{label}{g}" if label != "phi_spinor" else f"phi{g}_spinor",
-                    f.grade_part(g),
-                    f"grade-{g} part of the {label.replace('_', ' ')} spinor projection",
-                    Fraction(1),
-                )
-            )
-    return entries
+    for key, label in (("psi", "psi{}"), ("psi_prime", "psi_prime{}"), ("phi", "phi{}_spinor")):
+        for g in fam[key].grades():
+            if g:
+                named[label.format(g)] = fam[key].grade_part(g)
+    return {name: CatalogEntry(name, f, Fraction(1)) for name, f in named.items()}

@@ -225,12 +225,6 @@ class RealForm:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return self * (Fraction(1) / _exact(scalar))
-
-    def __xor__(self, other):
-        return wedge(self, other)
-
     def __repr__(self):
         if not self._terms:
             return f"RealForm(n={self.n}, 0)"

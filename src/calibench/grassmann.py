@@ -32,9 +32,9 @@ from calibench.catalog import (
     STANDARD16,
     RouteDisagreement,
     build_phi,
-    build_standard,
     holomorphic_volume,
     kaehler_form,
+    kaehler_power,
 )
 from calibench.forms import RealForm, _det_sum, _term_arrays, evaluate, wedge
 
@@ -132,7 +132,7 @@ _J16 = np.kron(np.eye(8), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 @functools.cache
 def _omega4_form():
-    return build_standard("kaehler_power", STANDARD16, k=4).form
+    return kaehler_power(STANDARD16, 4)
 
 
 def kaehler_angles(frame):
@@ -410,7 +410,7 @@ def federer_routes():
     the shuffle sum.  Disagreement raises.  Returns (route one, route two,
     sanity value).
     """
-    phi = build_phi().form
+    phi = build_phi()
     n = phi.n
     vol_idx = tuple(range(1, n + 1))
     route_a = wedge(phi, phi).coefficient(vol_idx) / Fraction(2) ** 8
@@ -428,7 +428,7 @@ def federer_eval():
     shuffle sum with LU determinants on scaled selection frames.
     """
     route_a, route_b, sanity = federer_routes()
-    phi = build_phi().form
+    phi = build_phi()
     scale = 1.0 / math.sqrt(2.0)
     total = 0.0
     eye = np.eye(16)
@@ -579,6 +579,8 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
         raise ValueError("comass search needs grade >= 1")
     if restarts < 1:
         raise ValueError("comass search needs at least one restart")
+    if not tol >= 0:
+        raise ValueError("comass search needs a tolerance >= 0")
     n = form.n
     rows, coeffs = _term_arrays(form)
 

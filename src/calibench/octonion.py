@@ -155,10 +155,6 @@ class Octonion:
     def basis(i):
         return Octonion(tuple(Fraction(int(m == i)) for m in range(8)))
 
-    @staticmethod
-    def from_vector(v):
-        return Octonion(tuple(v))
-
     def __eq__(self, other):
         return isinstance(other, Octonion) and self.co == other.co
 

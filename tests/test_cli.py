@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from calibench import catalog as cat
 from calibench import cli
 from calibench.catalog import catalog
 from calibench.cli import (
@@ -208,12 +209,30 @@ def test_comass_verb(capsys):
     ["comass", "--form", "omega1", "--restarts", "1", "--iters", "1", "--tol", "nan"],
     ["comass", "--form", "omega1", "--restarts", "1", "--iters", "1", "--seed", "-1"],
     ["planes", "--case", "1", "--count", "-3"],
+    ["comass", "--form", "omega1", "--restarts", "1", "--iters", "1", "--tol", "-1"],
 ])
 def test_bad_numbers_exit_2_with_a_message(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+def test_broken_route_fails_its_check(monkeypatch):
+    # one flipped sign in the frozen Cayley expansion must surface as a
+    # failed row in both checks that compare against it
+    monkeypatch.setitem(cat.CAYLEY_TERMS, (1, 2, 3, 4), -1)
+    cat.build_spinor_family.cache_clear()
+    cat.catalog.cache_clear()
+    try:
+        for body, message in ((cli._chk_cayley_routes, "cayley route chain_alt disagrees"),
+                              (cli._chk_spinor_closed_forms, "spinor family check psi_4 failed")):
+            measured, _expected, _tol, ok = body(0)
+            assert not ok
+            assert message in measured
+    finally:
+        cat.build_spinor_family.cache_clear()
+        cat.catalog.cache_clear()
 
 
 def test_cli_import_leaves_scipy_out():
@@ -237,7 +256,6 @@ def test_export_import_roundtrip(tmp_path):
     export_form("cayley", str(path))
     entry = import_form(str(path))
     assert entry.name == "cayley"
-    assert entry.claim == "imported"
     assert entry.comass_expected is None
     assert entry.form == catalog()["cayley"].form
     # exporting again writes identical bytes

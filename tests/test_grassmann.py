@@ -27,7 +27,7 @@ from calibench.grassmann import (
     symplectic_row_value,
 )
 
-PHI = build_phi().form
+PHI = build_phi()
 
 
 def random_spec(rng, obtuse=False):
@@ -314,6 +314,8 @@ class TestComassSearch:
             comass_search(RealForm(4, {0: 1}))
         with pytest.raises(ValueError):
             comass_search(RealForm.blade(4, (1, 2)), restarts=0)
+        with pytest.raises(ValueError):
+            comass_search(RealForm.blade(4, (1, 2)), tol=-1)
 
     def test_report_serializes(self):
         keys = {"form_name", "best_value", "best_restart", "best_frame", "restarts", "iters",
