@@ -5,7 +5,8 @@ Verbs:
            write a JSON report
   comass   run the multi-restart comass search on one catalog form
   planes   sample calibrated planes of one family and print them as JSON
-  federer  run both exact diagonal-product routes plus the float cross-check
+  federer  run both exact diagonal-product routes plus a float re-evaluation
+           of the shuffle-sum route (a test of evaluate, not a third route)
   export   write one catalog form to a JSON file
   tables   print the spinor grade-norm table and the middle-degree ratio
            constants
@@ -14,7 +15,8 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or IO
 error.  The default seed comes from CALIBENCH_SEED when set.
 
 JSON reports carry ``"schema": 1`` and are byte-identical across runs with
-equal seeds; wall time is printed to stdout only, never serialized.
+equal seeds; wall time, per check and in total, is printed to stdout only,
+never serialized.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class CheckResult:
     measured: str
     expected: str
     tolerance: float
+    seconds: float
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,8 @@ class SuiteReport:
 
     def to_json(self):
         doc = {"schema": SCHEMA_VERSION, "overall": "pass" if self.passed else "fail", **asdict(self)}
+        for c in doc["checks"]:
+            del c["seconds"]  # a timing would break the byte-identical report
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -562,6 +567,7 @@ def run_suite(selection="all", seed=0):
         groups.extend(_NUMERIC_CHECKS)
     rows = []
     for check_id, claim, fn in groups:
+        t0 = time.perf_counter()
         try:
             measured, expected, tol, ok = fn(seed)
         except Exception as e:  # noqa: BLE001  - report, never hide
@@ -573,6 +579,7 @@ def run_suite(selection="all", seed=0):
             measured=measured,
             expected=expected,
             tolerance=tol,
+            seconds=time.perf_counter() - t0,
         ))
     return SuiteReport(suite=selection, seed=seed, checks=tuple(rows))
 
@@ -658,7 +665,7 @@ def _cmd_verify(args):
     report = run_suite(args.suite, args.seed)
     for c in report.checks:
         print(f"[{c.status.upper():4}] {c.check_id}: {c.claim} "
-              f"(measured {c.measured}; expected {c.expected})")
+              f"(measured {c.measured}; expected {c.expected}) {c.seconds:.2f}s")
     dt = time.perf_counter() - t0
     n = len(report.checks)
     print(f"OVERALL {'PASS' if report.passed else 'FAIL'} ({n} checks, {dt:.1f}s, seed {report.seed})")
@@ -767,7 +774,8 @@ def build_parser():
     g.add_argument("--seed", type=_nonneg_int, default=None)
     g.set_defaults(fn=_cmd_planes)
 
-    f = sub.add_parser("federer", help="exact diagonal-product routes plus float cross-check")
+    f = sub.add_parser("federer", help="exact diagonal-product routes plus a float re-evaluation "
+                                       "of the shuffle sum (tests evaluate)")
     f.set_defaults(fn=_cmd_federer)
 
     e = sub.add_parser("export", help="write one catalog form to a JSON file")

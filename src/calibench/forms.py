@@ -9,7 +9,9 @@ algebra codes.  Every coordinate plane is oriented by increasing index order;
 
 Exact operations (wedge, Hodge star, inner product, alternation, linear
 pullback) never touch floats.  ``evaluate`` is the one float entry point;
-the comass search kernel reuses its term arrays and determinant sum.
+the comass search kernel reuses its term arrays and determinant sum.  Those
+arrays are the form's float view: built from the Fractions once per form, on
+its first float use, and kept on the form.
 """
 
 from __future__ import annotations
@@ -111,9 +113,13 @@ class RealForm:
 
     Terms map bitmask -> nonzero Fraction.  Mixed grades are allowed; the
     grade-sensitive operations check homogeneity themselves.
+
+    A form's terms never change after construction: the operations that
+    assign ``_terms`` directly do so on a fresh ``RealForm(n)``, before any
+    float use.  The float view (see ``_term_arrays``) relies on this.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_float_view")
 
     def __init__(self, n, terms=None):
         if not isinstance(n, int) or n < 1:
@@ -134,6 +140,7 @@ class RealForm:
                     else:
                         clean.pop(mask, None)
         self._terms = clean
+        self._float_view = None
 
     # construction helpers -------------------------------------------------
 
@@ -305,10 +312,18 @@ def inner_product(a, b):
 
 def _term_arrays(a):
     """0-based row indices and float coefficients of a's terms, in storage
-    order: the float view shared by ``evaluate`` and the search kernel."""
-    rows = np.array([[i - 1 for i in mask_indices(m)] for m in a._terms], dtype=np.intp)
-    coeffs = np.array([float(c) for c in a._terms.values()])
-    return rows, coeffs
+    order: the float view shared by ``evaluate`` and the search kernel.
+
+    Built on first use and kept on the form, read-only, since its terms
+    never change.
+    """
+    if a._float_view is None:
+        rows = np.array([[i - 1 for i in mask_indices(m)] for m in a._terms], dtype=np.intp)
+        coeffs = np.array([float(c) for c in a._terms.values()])
+        rows.flags.writeable = False
+        coeffs.flags.writeable = False
+        a._float_view = rows, coeffs
+    return a._float_view
 
 
 def _det_sum(rows, coeffs, M):
@@ -320,10 +335,14 @@ def evaluate(a, vectors):
     """Evaluate a homogeneous k-form on k column vectors (float).
 
     ``vectors`` is an (n, k) array; columns are the arguments.  The value is
-    sum_I c_I det(rows I of vectors), by batched LU (numpy det).  Raises on
-    grade/shape mismatch and non-finite input.
+    sum_I c_I det(rows I of vectors), by batched LU (numpy det), over the
+    form's float view, which is built once per form.  Raises on grade/shape
+    mismatch and on complex or non-finite input.
     """
-    M = np.asarray(vectors, dtype=float)
+    M = np.asarray(vectors)
+    if np.iscomplexobj(M):
+        raise ValueError("complex entries in vectors")
+    M = M.astype(float, copy=False)
     if M.ndim != 2:
         raise ValueError("vectors must be a 2-d array with one column per argument")
     n, k = M.shape

@@ -424,8 +424,14 @@ def federer_routes():
 
 
 def federer_eval():
-    """``federer_routes`` plus a float cross-check that re-evaluates the
-    shuffle sum with LU determinants on scaled selection frames.
+    """``federer_routes`` plus a float re-evaluation of route two.
+
+    The float part is the same shuffle sum as route two, computed with
+    ``evaluate`` on scaled coordinate frames instead of exact coefficients.
+    It therefore tests ``evaluate``; it is not an independent route to
+    147/128.  The independent float route (the two-copy wedge on R^32,
+    evaluated on the diagonal vectors) waits for a benchmark update, because
+    the benchmark's tests pin this loop's ``evaluate`` calls.
     """
     route_a, route_b, sanity = federer_routes()
     phi = build_phi()
@@ -487,7 +493,8 @@ def _gradient(rows, coeffs, M):
 
 
 def frame_gradient(form, M):
-    """Euclidean gradient of M -> form(columns of M): per-entry cofactor sums."""
+    """Euclidean gradient of M -> form(columns of M): per-entry cofactor sums,
+    over the form's float view, which is built once per form."""
     rows, coeffs = _term_arrays(form)
     return _gradient(rows, coeffs, M)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -138,10 +139,12 @@ def test_verify_verb_prints_and_writes(monkeypatch, tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "[PASS] toy_pass:" in text
+    assert re.search(r"^\[PASS\] toy_pass: .*\(measured 1; expected 1\) \d+\.\d\ds$", text, re.M)
     assert "OVERALL PASS (1 checks" in text
     assert "seed 3" in text
     doc = json.loads(out.read_text())
     assert doc["overall"] == "pass" and doc["seed"] == 3
+    assert "seconds" not in doc["checks"][0]
 
 
 def test_verify_verb_unwritable_json_exits_2(monkeypatch, tmp_path, capsys):

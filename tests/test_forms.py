@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calibench.clifford import endo_to_form, rep16
 from calibench.forms import (
     ComplexForm,
     RealForm,
     SchemaError,
+    _term_arrays,
     alternation,
     blade_mask,
     cwedge,
@@ -230,6 +232,50 @@ class TestEvaluate:
             evaluate(f, np.zeros((5, 2)))
         with pytest.raises(ValueError):
             evaluate(f, np.array([[np.nan, 0]] * 4))
+        for complex_frame in ([[1, 1j], [0, 1]], np.array([[1, 1j], [0, 1]])):
+            with pytest.raises(ValueError, match="complex"):
+                evaluate(RealForm(2, {(1, 2): 1}), complex_frame)
+
+
+_A = RealForm(5, {(1, 2): 1, (3, 5): Fraction(1, 3), (2, 4): -2})
+_B = RealForm(5, {(1, 2): Fraction(1, 7), (1, 4): 3})
+
+# Every way a form comes to exist; some fill _terms directly after RealForm(n).
+_CONSTRUCTIONS = {
+    "init": lambda: RealForm(5, {(1, 2, 3): Fraction(2, 3), (2, 4, 5): -1}),
+    "add": lambda: _A + _B,
+    "sub": lambda: _A - _B,
+    "mul": lambda: _A * Fraction(3, 5),
+    "wedge": lambda: wedge(_A, _B),
+    "hodge_star": lambda: hodge_star(_A),
+    "grade_part": lambda: (_A + wedge(_A, _B)).grade_part(4),
+    "pullback": lambda: pullback(_A, np.triu(np.ones((5, 5), dtype=int)).astype(object)),
+    "alternation": lambda: alternation(lambda u, v: u[0] * v[1] - 3 * u[2] * v[4], 2, 5),
+    "form_from_dict": lambda: form_from_dict(form_to_dict(_A)),
+    "endo_to_form": lambda: endo_to_form(rep16((1, 3)) + 2 * rep16((2, 16))),
+}
+
+
+class TestFloatView:
+    def test_built_once_and_read_only(self):
+        f = RealForm(5, {(1, 2, 4): 2, (2, 3, 5): Fraction(-1, 3)})
+        view = _term_arrays(f)
+        assert _term_arrays(f) is view
+        rows, coeffs = view
+        with pytest.raises(ValueError):
+            rows[0, 0] = 4
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.0
+
+    @pytest.mark.parametrize("how", sorted(_CONSTRUCTIONS))
+    def test_view_matches_a_fresh_copy(self, how):
+        rng = np.random.default_rng(11)
+        # the operands hold their views before the result is built
+        for operand in (_A, _B):
+            evaluate(operand, rng.standard_normal((5, 2)))
+        f = _CONSTRUCTIONS[how]()
+        M = rng.standard_normal((f.n, f.grade()))
+        assert evaluate(f, M).hex() == evaluate(RealForm(f.n, dict(f._terms)), M).hex()
 
 
 class TestAlternationPullback:
