@@ -12,9 +12,11 @@ generator 8+i as id (x) e_i.  Basis order of P16 is by blocks ++, +-, -+, --,
 each block running over (a, b) row-major; index(s, t, a, b) = 128s + 64t +
 8a + b with a, b in 0..7.
 
-Blade actions are signed permutations of the 256 basis vectors; the table of
-all 2^16 blade actions is built once by a doubling recurrence and backs the
-exact trace projection ``endo_to_form``.
+Every generator is a signed XOR permutation e_c -> t (-1)^(b.c) e_(c xor a),
+with b.c the parity of the bits b and c share, so blade m is three numbers
+(X[m], Z[m], SIG[m]).  A doubling recurrence builds them for all 2^16 blades
+once, and the exact trace projection ``endo_to_form`` reads every blade's
+coefficient off one 256-point integer Walsh-Hadamard transform.
 """
 
 from __future__ import annotations
@@ -162,54 +164,78 @@ def rep16(indices):
     return M
 
 
+def _parity(v):
+    """Parity of the set bits of each entry of a uint8 array."""
+    v = v ^ (v >> 4)
+    v = v ^ (v >> 2)
+    return (v ^ (v >> 1)) & 1
+
+
+def _xor_form(perm, sign):
+    """(a, b, t) with perm[c] = c xor a and sign[c] = t (-1)^(b.c) for all c.
+
+    Raises ValueError when the signed permutation has no such form.
+    """
+    c = np.arange(DIM, dtype=np.uint8)
+    a, t = int(perm[0]), int(sign[0])
+    b = sum(1 << k for k in range(8) if sign[1 << k] != t)
+    if not (np.array_equal(perm, c ^ a)
+            and np.array_equal(sign, t * (1 - 2 * _parity(c & b).astype(np.int64)))):
+        raise ValueError("generator is not a signed XOR permutation")
+    return a, b, t
+
+
 @functools.cache
 def _blade_tables():
-    """(P, S) with P[m], S[m] the signed permutation of blade mask m.
+    """(X, Z, SIG): blade mask m acts as e_c -> SIG[m] (-1)^(Z[m].c) e_(c xor X[m]).
 
-    Doubling recurrence: masks with top generator h+1 are the products of all
-    lower masks with generator h+1 appended on the right.
+    Doubling recurrence: masks with top generator h+1 are the lower masks with
+    generator h+1 = (a, b, t) appended on the right, which maps (x, z, s) to
+    (x xor a, z xor b, s t (-1)^(z.a)).  Each generator's form is checked.
     """
-    P = np.empty((1 << 16, DIM), dtype=np.uint8)
-    S = np.empty((1 << 16, DIM), dtype=np.int8)
-    P[0] = np.arange(DIM, dtype=np.uint8)
-    S[0] = 1
-    for h in range(16):
+    X = np.empty(1 << 16, dtype=np.uint8)
+    Z = np.empty(1 << 16, dtype=np.uint8)
+    SIG = np.empty(1 << 16, dtype=np.int8)
+    X[0], Z[0], SIG[0] = 0, 0, 1
+    for h, (perm, sign) in enumerate(_GENS):
+        a, b, t = _xor_form(perm, sign)
         sz = 1 << h
-        ph, sh = _GENS[h]
-        P[sz:2 * sz] = P[:sz][:, ph]
-        S[sz:2 * sz] = S[:sz][:, ph] * sh.astype(np.int8)[None, :]
-    return P, S
+        X[sz:2 * sz] = X[:sz] ^ a
+        Z[sz:2 * sz] = Z[:sz] ^ b
+        SIG[sz:2 * sz] = SIG[:sz] * t * (1 - 2 * _parity(Z[:sz] & a).astype(np.int8))
+    return X, Z, SIG
+
+
+_BOUND = 1 << 55  # 256 * |entry| stays below 2^63
 
 
 def endo_to_form(A):
     """Project a 256x256 endomorphism onto blade coordinates.
 
-    Returns sum_I tr(rep16(I)^T A) / 256 E_I as an exact form on R^16.  Exact
-    for integer matrices (the pipeline only feeds integers); raises on
-    anything inexact to keep the exact lane honest.
+    Returns sum_I tr(rep16(I)^T A) / 256 E_I as an exact form on R^16.  With
+    blade m as (X, Z, SIG), tr(E_m^T A) = SIG[m] H[X[m], Z[m]], where H is the
+    rows of D[x, c] = A[c xor x, c] through the Walsh-Hadamard transform: one
+    256x256 gather plus an 8-stage integer butterfly.  Takes integer entries
+    with |a| < 2^55, so no sum leaves int64; raises TypeError on anything
+    inexact, to keep the exact lane honest, and ValueError beyond the bound.
     """
     M = np.asarray(A)
     if M.shape != (DIM, DIM):
         raise ValueError(f"expected a {DIM}x{DIM} matrix, got {M.shape}")
-    if M.dtype == object:
-        M2 = M.astype(np.int64)
-        if not (M2.astype(object) == M).all():
-            raise TypeError("endo_to_form needs an integer-valued matrix")
-        M = M2
-    elif not np.issubdtype(M.dtype, np.integer):
+    if M.dtype != object and not np.issubdtype(M.dtype, np.integer):
         raise TypeError("endo_to_form needs an integer-valued matrix")
-    M = M.astype(np.int64)
-    P, S = _blade_tables()
+    if ((M >= _BOUND) | (M <= -_BOUND)).any():
+        raise ValueError("endo_to_form needs entries with |a| < 2^55")
+    M2 = M.astype(np.int64)
+    if M.dtype == object and not (M2.astype(object) == M).all():
+        raise TypeError("endo_to_form needs an integer-valued matrix")
     cols = np.arange(DIM)
-    terms = {}
-    chunk = 2048
-    for start in range(0, 1 << 16, chunk):
-        stop = start + chunk
-        gathered = M[P[start:stop].astype(np.intp), cols[None, :]]
-        sums = (S[start:stop].astype(np.int64) * gathered).sum(axis=1)
-        for off in np.nonzero(sums)[0]:
-            terms[int(start + off)] = Fraction(int(sums[off]), 256)
+    H = M2[cols[:, None] ^ cols[None, :], cols[None, :]]  # D, transformed in place below
+    for k in range(8):
+        H = H.reshape(DIM, -1, 2, 1 << k)
+        H = np.stack((H[:, :, 0] + H[:, :, 1], H[:, :, 0] - H[:, :, 1]), axis=2)
+    X, Z, SIG = _blade_tables()
+    sums = SIG * H.reshape(DIM, DIM)[X, Z]
     f = RealForm(16)
-    f._terms = terms
+    f._terms = {int(m): Fraction(int(sums[m]), 256) for m in np.nonzero(sums)[0]}
     return f
-

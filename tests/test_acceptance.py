@@ -60,7 +60,7 @@ def test_criterion_4_clifford_layer():
         "clifford_generators": {},
         "clifford_roundtrip": {"rng": 4},
         "spinor_split": {},
-    })
+    }, limit=5.0)
 
 
 def test_criterion_5_spinor_family():

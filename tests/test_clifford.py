@@ -15,7 +15,7 @@ from calibench.clifford import (
     rep16,
     spinor_vector,
 )
-from calibench.forms import RealForm
+from calibench.forms import RealForm, mask_indices
 
 
 def _unit8(i):
@@ -143,6 +143,57 @@ def test_endo_to_form_is_linear_on_blade_span():
     assert endo_to_form(A) == f
 
 
+def _probe_masks():
+    """Blade masks the oracle tests read: the 16 generators, every weight-2
+    mask, the full mask and 300 seeded masks."""
+    rng = np.random.default_rng(31)
+    singles = [1 << i for i in range(16)]
+    pairs = [(1 << i) | (1 << j) for i in range(16) for j in range(i + 1, 16)]
+    seeded = [int(m) for m in rng.integers(0, 1 << 16, size=300)]
+    return singles + pairs + [(1 << 16) - 1] + seeded
+
+
+def test_endo_to_form_matches_direct_trace():
+    # oracle: tr(E_m^T A) / 256 summed over the composed signed permutation
+    A = np.random.default_rng(29).integers(-1000, 1001, size=(DIM, DIM))
+    f = endo_to_form(A)
+    cols = np.arange(DIM)
+    for m in _probe_masks():
+        perm, sign = clifford._blade_perm(mask_indices(m))
+        want = Fraction(int((sign * A[perm, cols]).sum()), 256)
+        assert f.coefficient(m) == want, m
+
+
+def test_matrix_unit_projects_to_256_unit_terms():
+    for i, j in ((0, 0), (3, 200), (255, 17)):
+        f = endo_to_form(256 * np.outer(spinor_vector(j), spinor_vector(i)))
+        assert len(f) == 256
+        assert {abs(c) for c in f._terms.values()} == {1}
+
+
+def test_blade_tables_rebuild_each_signed_permutation():
+    X, Z, SIG = clifford._blade_tables()
+    cols = np.arange(DIM)
+    for m in _probe_masks():
+        perm, sign = clifford._blade_perm(mask_indices(m))
+        parity = np.array([bin(int(Z[m]) & c).count("1") % 2 for c in range(DIM)])
+        assert np.array_equal(perm, cols ^ int(X[m])), m
+        assert np.array_equal(sign, int(SIG[m]) * (1 - 2 * parity)), m
+
+
+@pytest.mark.parametrize("case", ["swap", "sign"])
+def test_blade_tables_reject_a_generator_of_other_form(monkeypatch, case):
+    perm = np.arange(DIM, dtype=np.int64)
+    sign = np.ones(DIM, dtype=np.int64)
+    if case == "swap":
+        perm[[1, 2]] = perm[[2, 1]]
+    else:
+        sign[3] = -1
+    monkeypatch.setattr(clifford, "_GENS", clifford._GENS[:5] + [(perm, sign)] + clifford._GENS[6:])
+    with pytest.raises(ValueError, match="signed XOR"):
+        clifford._blade_tables.__wrapped__()
+
+
 def test_endo_to_form_rejects_bad_input():
     with pytest.raises(ValueError):
         endo_to_form(np.eye(8))
@@ -152,6 +203,14 @@ def test_endo_to_form_rejects_bad_input():
     half[0, 0] = Fraction(1, 2)
     with pytest.raises(TypeError):
         endo_to_form(half)
+    # 256 entries of 2^62 would wrap an int64 sum; beyond int64 cannot be cast
+    with pytest.raises(ValueError, match=r"2\^55"):
+        endo_to_form(2**62 * rep16((1, 2)))
+    huge = rep16((1, 2)).astype(object)
+    huge[0, 0] = 2**70
+    with pytest.raises(ValueError, match=r"2\^55"):
+        endo_to_form(huge)
+    assert endo_to_form(2**54 * rep16((1, 2))) == 2**54 * RealForm.blade(16, (1, 2))
 
 
 def test_pinor_index_enumerates_the_space():
