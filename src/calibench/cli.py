@@ -493,16 +493,13 @@ def _chk_comass_never_exceed(seed, names=_NEVER_EXCEED_SUITE, restarts=8, iters=
     return _fmt(worst), "<= 1 + 1e-09", PLANE_TOL, worst <= 1.0 + PLANE_TOL
 
 
-def _federer_ok(rep):
-    return (rep.route_wedge == Fraction(147, 128)
-            and rep.float_residual < PLANE_TOL
-            and rep.sanity_value == Fraction(1, 2))
-
-
 def _chk_federer_float(seed):
-    rep = grassmann.federer_eval()
-    measured = f"{rep.route_wedge}, float residual {_fmt(rep.float_residual)}"
-    return measured, "147/128, residual < 1e-09", PLANE_TOL, _federer_ok(rep)
+    phi = cat.build_phi()
+    route_b = grassmann.federer_product(phi)
+    residual = abs(grassmann.federer_eval(phi) - float(route_b))
+    measured = f"{route_b}, float residual {_fmt(residual)}"
+    ok = route_b == Fraction(147, 128) and residual < PLANE_TOL
+    return measured, "147/128, residual < 1e-09", PLANE_TOL, ok
 
 
 _EXACT_CHECKS = (
@@ -721,14 +718,20 @@ def _cmd_planes(args):
 
 def _cmd_federer(args):
     t0 = time.perf_counter()
-    rep = grassmann.federer_eval()
+    try:
+        route_a, route_b, sanity = grassmann.federer_routes()
+    except cat.RouteDisagreement as e:
+        print(e, file=sys.stderr)
+        return 1
+    residual = abs(grassmann.federer_eval(cat.build_phi()) - float(route_b))
     dt = time.perf_counter() - t0
-    print(f"wedge route      {rep.route_wedge}")
-    print(f"shuffle route    {rep.route_shuffle}")
-    print(f"float residual   {rep.float_residual:.3e}")
-    print(f"planar sanity    {rep.sanity_value}")
+    print(f"wedge route      {route_a}")
+    print(f"shuffle route    {route_b}")
+    print(f"float residual   {residual:.3e}")
+    print(f"planar sanity    {sanity}")
     print(f"# {dt:.1f}s", file=sys.stderr)
-    return 0 if _federer_ok(rep) else 1
+    ok = route_a == Fraction(147, 128) and residual < PLANE_TOL and sanity == Fraction(1, 2)
+    return 0 if ok else 1
 
 
 def _cmd_export(args):

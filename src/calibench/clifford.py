@@ -236,6 +236,4 @@ def endo_to_form(A):
         H = np.stack((H[:, :, 0] + H[:, :, 1], H[:, :, 0] - H[:, :, 1]), axis=2)
     X, Z, SIG = _blade_tables()
     sums = SIG * H.reshape(DIM, DIM)[X, Z]
-    f = RealForm(16)
-    f._terms = {int(m): Fraction(int(sums[m]), 256) for m in np.nonzero(sums)[0]}
-    return f
+    return RealForm._own(16, {int(m): Fraction(int(sums[m]), 256) for m in np.nonzero(sums)[0]})

@@ -114,9 +114,9 @@ class RealForm:
     Terms map bitmask -> nonzero Fraction.  Mixed grades are allowed; the
     grade-sensitive operations check homogeneity themselves.
 
-    A form's terms never change after construction: the operations that
-    assign ``_terms`` directly do so on a fresh ``RealForm(n)``, before any
-    float use.  The float view (see ``_term_arrays``) relies on this.
+    A form's terms never change after construction: only ``__init__`` and
+    ``_own`` set ``_terms``, and each does so on a new object.  The float view
+    (see ``_term_arrays``) relies on this.
     """
 
     __slots__ = ("n", "_terms", "_float_view")
@@ -143,6 +143,13 @@ class RealForm:
         self._float_view = None
 
     # construction helpers -------------------------------------------------
+
+    @classmethod
+    def _own(cls, n, terms):
+        """A new form that owns ``terms`` (bitmask -> nonzero Fraction) as is."""
+        f = cls(n)
+        f._terms = terms
+        return f
 
     @staticmethod
     def zero(n):
@@ -208,14 +215,10 @@ class RealForm:
                 out[m] = s
             else:
                 out.pop(m, None)
-        f = RealForm(self.n)
-        f._terms = out
-        return f
+        return RealForm._own(self.n, out)
 
     def __neg__(self):
-        f = RealForm(self.n)
-        f._terms = {m: -c for m, c in self._terms.items()}
-        return f
+        return RealForm._own(self.n, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, RealForm) or other.n != self.n:
@@ -226,9 +229,7 @@ class RealForm:
         c = _exact(scalar)
         if not c:
             return RealForm(self.n)
-        f = RealForm(self.n)
-        f._terms = {m: coeff * c for m, coeff in self._terms.items()}
-        return f
+        return RealForm._own(self.n, {m: coeff * c for m, coeff in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -260,9 +261,7 @@ def wedge(a, b):
                 out[m] = s
             else:
                 out.pop(m, None)
-    f = RealForm(a.n)
-    f._terms = out
-    return f
+    return RealForm._own(a.n, out)
 
 
 def wedge_power(a, k):
@@ -285,9 +284,7 @@ def hodge_star(a):
         if reorder_sign(m, comp) < 0:
             c = -c
         out[comp] = c
-    f = RealForm(a.n)
-    f._terms = out
-    return f
+    return RealForm._own(a.n, out)
 
 
 def inner_product(a, b):
@@ -383,9 +380,7 @@ def alternation(T, k, n):
             total += val if sgn > 0 else -val
         if total:
             terms[blade_mask(tuple(i + 1 for i in combo))] = total / fact
-    f = RealForm(n)
-    f._terms = terms
-    return f
+    return RealForm._own(n, terms)
 
 
 def pullback(a, L):
@@ -500,9 +495,7 @@ def form_from_dict(d):
         if c == 0:
             raise SchemaError(f"zero coefficient stored for blade {blade}")
         terms[blade_mask(key)] = c
-    f = RealForm(n)
-    f._terms = terms
-    return f
+    return RealForm._own(n, terms)
 
 
 def dump_form(a):

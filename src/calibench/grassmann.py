@@ -42,7 +42,6 @@ __all__ = [
     "NormalFormSpec",
     "PlaneSample",
     "ComassReport",
-    "FedererReport",
     "MinorCheckReport",
     "realify",
     "realize",
@@ -139,7 +138,10 @@ def kaehler_angles(frame):
     """Angles in [0, pi/2] (ascending) of an orthonormal 16x8 frame, plus an
     orientation sign from the top Kaehler power (+1 when that value is
     numerically zero)."""
-    M = np.asarray(frame, dtype=float)
+    M = np.asarray(frame)
+    if np.iscomplexobj(M):
+        raise ValueError("complex entries in frame")
+    M = M.astype(float, copy=False)
     if M.shape != (16, 8):
         raise ValueError("frame must be 16x8")
     if not np.linalg.norm(M.T @ M - np.eye(8)) <= 1e-8:
@@ -368,6 +370,20 @@ def _shuffle_sign(indices):
     return -1 if inv & 1 else 1
 
 
+def _shuffle_sum(n, coeff):
+    """sum over increasing I with |I| = n/2 of sign(I, I^c) coeff(I) coeff(I^c),
+    reading coeff(I^c) only where coeff(I) is nonzero."""
+    full = range(1, n + 1)
+    total = 0
+    for I in combinations(full, n // 2):
+        c1 = coeff(I)
+        if not c1:
+            continue
+        Ic = tuple(i for i in full if i not in I)
+        total += _shuffle_sign(I) * c1 * coeff(Ic)
+    return total
+
+
 def federer_product(form):
     """Exact shuffle-sum value of (form x form) on the diagonal tuple.
 
@@ -376,30 +392,10 @@ def federer_product(form):
     sign(I, I^c) c_I c_{I^c}, with the 2^{-k} scaling factored out so the
     result stays rational.
     """
-    n = form.n
     k = form.grade()
-    if k is None or n != 2 * k:
+    if k is None or form.n != 2 * k:
         raise ValueError("need a middle-degree form (grade n/2)")
-    coeffs = {tuple(idx): c for idx, c in form.terms().items()}
-    total = Fraction(0)
-    for I in combinations(range(1, n + 1), k):
-        c1 = coeffs.get(I)
-        if not c1:
-            continue
-        Ic = tuple(sorted(set(range(1, n + 1)) - set(I)))
-        c2 = coeffs.get(Ic)
-        if not c2:
-            continue
-        total += _shuffle_sign(I) * c1 * c2
-    return total / Fraction(2) ** k
-
-
-@dataclass(frozen=True)
-class FedererReport:
-    route_wedge: Fraction
-    route_shuffle: Fraction
-    float_residual: float
-    sanity_value: Fraction
+    return _shuffle_sum(form.n, form.coefficient) / Fraction(2) ** k
 
 
 def federer_routes():
@@ -423,30 +419,19 @@ def federer_routes():
     return route_a, route_b, federer_product(omega_r4)
 
 
-def federer_eval():
-    """``federer_routes`` plus a float re-evaluation of route two.
+def federer_eval(form):
+    """Float re-evaluation of ``federer_product(form)``: the float total.
 
-    The float part is the same shuffle sum as route two, computed with
-    ``evaluate`` on scaled coordinate frames instead of exact coefficients.
-    It therefore tests ``evaluate``; it is not an independent route to
-    147/128.  The independent float route (the two-copy wedge on R^32,
-    evaluated on the diagonal vectors) waits for a benchmark update, because
-    the benchmark's tests pin this loop's ``evaluate`` calls.
+    The same shuffle sum, with each coefficient read by ``evaluate`` on a
+    coordinate frame scaled by 1/sqrt(2) instead of exactly, so the scaling
+    is already in the total.  It therefore tests ``evaluate``; it is not an
+    independent route to 147/128.  The independent float route (the
+    two-copy wedge on R^32, evaluated on the diagonal vectors) waits for a
+    benchmark update, because the benchmark's tests pin this loop's
+    ``evaluate`` calls.
     """
-    route_a, route_b, sanity = federer_routes()
-    phi = build_phi()
-    scale = 1.0 / math.sqrt(2.0)
-    total = 0.0
-    eye = np.eye(16)
-    for I in combinations(range(1, 17), 8):
-        Ic = tuple(sorted(set(range(1, 17)) - set(I)))
-        v1 = evaluate(phi, scale * eye[:, [i - 1 for i in I]])
-        if v1 == 0.0:
-            continue
-        v2 = evaluate(phi, scale * eye[:, [i - 1 for i in Ic]])
-        total += _shuffle_sign(I) * v1 * v2
-    float_residual = abs(total - float(route_b))
-    return FedererReport(route_a, route_b, float_residual, sanity)
+    frame = np.eye(form.n) / math.sqrt(2.0)
+    return _shuffle_sum(form.n, lambda I: evaluate(form, frame[:, [i - 1 for i in I]]))
 
 
 # comass search -------------------------------------------------------------------

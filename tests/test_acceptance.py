@@ -73,7 +73,7 @@ def test_criterion_5_spinor_family():
 
 
 def test_criterion_6_diagonal_product():
-    _criterion(6, {"federer_float": {}}, limit=300.0)
+    _criterion(6, {"federer_routes": {}, "federer_float": {}}, limit=300.0)
 
 
 def test_criterion_7_calibrated_families():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from calibench import catalog as cat
-from calibench import cli
+from calibench import cli, grassmann
 from calibench.catalog import catalog
 from calibench.cli import (
     SCHEMA_VERSION,
@@ -236,6 +236,26 @@ def test_broken_route_fails_its_check(monkeypatch):
     finally:
         cat.build_spinor_family.cache_clear()
         cat.catalog.cache_clear()
+
+
+def test_federer_verb(capsys):
+    assert main(["federer"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[-1] for l in lines[:2] + lines[3:]] == ["147/128", "147/128", "1/2"]
+    assert lines[2].startswith("float residual") and float(lines[2].split()[-1]) < 1e-9
+
+
+def test_federer_verb_reports_route_disagreement(monkeypatch, capsys):
+    monkeypatch.setattr(grassmann, "federer_product", lambda form: Fraction(1))
+    assert main(["federer"]) == 1
+    err = capsys.readouterr().err
+    assert "wedge route 147/128 != shuffle route 1" in err
+    assert "Traceback" not in err
+
+
+def test_federer_verb_fails_on_a_float_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(grassmann, "federer_eval", lambda form: 0.0)
+    assert main(["federer"]) == 1
 
 
 def test_cli_import_leaves_scipy_out():

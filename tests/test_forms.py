@@ -240,7 +240,7 @@ class TestEvaluate:
 _A = RealForm(5, {(1, 2): 1, (3, 5): Fraction(1, 3), (2, 4): -2})
 _B = RealForm(5, {(1, 2): Fraction(1, 7), (1, 4): 3})
 
-# Every way a form comes to exist; some fill _terms directly after RealForm(n).
+# Every way a form comes to exist; most go through RealForm._own.
 _CONSTRUCTIONS = {
     "init": lambda: RealForm(5, {(1, 2, 3): Fraction(2, 3), (2, 4, 5): -1}),
     "add": lambda: _A + _B,

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calibench import grassmann
-from calibench.catalog import build_phi, catalog
+from calibench.catalog import RouteDisagreement, build_phi, catalog
 from calibench.forms import RealForm, blade_mask, reorder_sign, wedge
 from calibench.grassmann import (
     PLANE_TOL,
     NormalFormSpec,
     calibration_value_closed,
     comass_search,
+    federer_eval,
     federer_product,
     frame_gradient,
     frame_value,
@@ -112,6 +113,9 @@ class TestKaehlerAngles:
             kaehler_angles(np.ones((16, 8)))
         with pytest.raises(ValueError, match="not orthonormal"):
             kaehler_angles(np.full((16, 8), np.nan))
+        spec = NormalFormSpec(np.eye(8), (0.3, 0.4, 0.5, 0.6))
+        with pytest.raises(ValueError, match="complex"):
+            kaehler_angles(realize(spec) + 1e-3j)
 
 
 class TestSamplers:
@@ -250,6 +254,16 @@ class TestFederer:
     def test_shuffle_sum_equals_wedge_square_r6(self, f):
         vol = tuple(range(1, 7))
         assert federer_product(f) * Fraction(8) == wedge(f, f).coefficient(vol)
+
+    @given(middle_forms(6))
+    @settings(max_examples=40, deadline=None)
+    def test_float_total_matches_shuffle_sum_r6(self, f):
+        assert abs(federer_eval(f) - float(federer_product(f))) < 1e-12
+
+    def test_routes_raise_on_disagreement(self, monkeypatch):
+        monkeypatch.setattr(grassmann, "federer_product", lambda form: Fraction(1))
+        with pytest.raises(RouteDisagreement, match="wedge route 147/128 != shuffle route 1"):
+            grassmann.federer_routes()
 
     def test_kaehler_r4_value(self):
         om = RealForm(4, {(1, 2): 1, (3, 4): 1})
