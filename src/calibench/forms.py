@@ -323,11 +323,6 @@ def _term_arrays(a):
     return a._float_view
 
 
-def _det_sum(rows, coeffs, M):
-    """sum_I c_I det(rows I of M) over the term arrays of one form."""
-    return float(coeffs @ np.linalg.det(M[rows, :]))
-
-
 def evaluate(a, vectors):
     """Evaluate a homogeneous k-form on k column vectors (float).
 
@@ -357,7 +352,7 @@ def evaluate(a, vectors):
     if k == 0:
         return float(a.coefficient(()))
     rows, coeffs = _term_arrays(a)
-    return _det_sum(rows, coeffs, M)
+    return float(coeffs @ np.linalg.det(M[rows, :]))
 
 
 def alternation(T, k, n):

@@ -36,12 +36,13 @@ from calibench.catalog import (
     kaehler_form,
     kaehler_power,
 )
-from calibench.forms import RealForm, _det_sum, _term_arrays, evaluate, wedge
+from calibench.forms import RealForm, _term_arrays, evaluate, wedge
 
 __all__ = [
     "NormalFormSpec",
     "PlaneSample",
     "ComassReport",
+    "RestartRecord",
     "MinorCheckReport",
     "realify",
     "realize",
@@ -442,46 +443,55 @@ def frame_value(form, M):
     return evaluate(form, M)
 
 
-def _cofactor_batch(slabs):
-    """d det(A)/dA for a [T,k,k] batch: det(A) A^{-T}, SVD fallback near
-    singularity (adjugate via products of singular values, no division)."""
+def _slabs(rows, M):
+    """The k x k row slabs of M, one per term, and their determinants."""
+    slabs = M[rows, :]
+    return slabs, np.linalg.det(slabs)
+
+
+def _cofactor_batch(slabs, dets):
+    """d det(A)/dA for a [T,k,k] batch with determinants `dets`: det(A) A^{-T},
+    SVD fallback near singularity (adjugate via products of singular values,
+    no division)."""
     T, k, _ = slabs.shape
     if k == 1:
         return np.ones_like(slabs)
-    dets = np.linalg.det(slabs)
     scale = np.abs(slabs).max(axis=(1, 2)) + 1e-300
     good = np.abs(dets) > 1e-8 * scale**k
+    if good.all():
+        return dets[:, None, None] * np.swapaxes(np.linalg.inv(slabs), 1, 2)
     out = np.empty_like(slabs)
     if good.any():
         inv_t = np.swapaxes(np.linalg.inv(slabs[good]), 1, 2)
         out[good] = dets[good][:, None, None] * inv_t
     bad = ~good
-    if bad.any():
-        U, s, Vt = np.linalg.svd(slabs[bad])
-        pref = np.cumprod(
-            np.concatenate([np.ones((s.shape[0], 1)), s[:, :-1]], axis=1), axis=1
-        )
-        suf = np.cumprod(
-            np.concatenate([np.ones((s.shape[0], 1)), s[:, :0:-1]], axis=1), axis=1
-        )[:, ::-1]
-        orient = np.linalg.det(U @ Vt)
-        out[bad] = orient[:, None, None] * (U * (pref * suf)[:, None, :]) @ Vt
+    U, s, Vt = np.linalg.svd(slabs[bad])
+    pref = np.cumprod(
+        np.concatenate([np.ones((s.shape[0], 1)), s[:, :-1]], axis=1), axis=1
+    )
+    suf = np.cumprod(
+        np.concatenate([np.ones((s.shape[0], 1)), s[:, :0:-1]], axis=1), axis=1
+    )[:, ::-1]
+    orient = np.linalg.det(U @ Vt)
+    out[bad] = orient[:, None, None] * (U * (pref * suf)[:, None, :]) @ Vt
     return out
 
 
-def _gradient(rows, coeffs, M):
-    slabs = M[rows, :]
-    cof = _cofactor_batch(slabs)
-    G = np.zeros_like(M)
-    np.add.at(G, rows, coeffs[:, None, None] * cof)
-    return G
+def _gradient(rows, coeffs, slabs, dets, n):
+    """Cofactor sums scattered onto an n x k gradient: entry (rows[t, a], b)
+    collects coeffs[t] * cof[t, a, b], summed in term order by one bincount
+    over the flat indices row * k + col."""
+    k = rows.shape[1]
+    flat = (rows[:, :, None] * k + np.arange(k)).ravel()
+    weights = (coeffs[:, None, None] * _cofactor_batch(slabs, dets)).ravel()
+    return np.bincount(flat, weights=weights, minlength=n * k).reshape(n, k)
 
 
 def frame_gradient(form, M):
     """Euclidean gradient of M -> form(columns of M): per-entry cofactor sums,
     over the form's float view, which is built once per form."""
     rows, coeffs = _term_arrays(form)
-    return _gradient(rows, coeffs, M)
+    return _gradient(rows, coeffs, *_slabs(rows, M), M.shape[0])
 
 
 def _retract(X):
@@ -505,32 +515,66 @@ def _blade_start(form, n, k):
     return M
 
 
+_STEP_RANGE = (1e-6, 1e6)
+_STEP_FLOOR = 1e-14
+
+
 def _ascend(rows, coeffs, M, iters, tol):
-    f = _det_sum(rows, coeffs, M)
-    best_f, best_M = f, M
-    step = 1.0
-    for _ in range(iters):
-        G = _gradient(rows, coeffs, M)
+    """Projected-gradient ascent from the orthonormal frame M with
+    Barzilai-Borwein steps and a QR retraction.
+
+    Each step moves along the projected gradient Gt = G - M sym(M^T G).  Its
+    length is the BB2 step (s.y)/(y.y), with s = M_t - M_{t-1} and
+    y = Gt_{t-1} - Gt_t, clamped to _STEP_RANGE, or 1 on the first step and
+    whenever s.y <= 0; it is halved until the monotone Armijo condition
+    f(M') >= f(M) + 1e-4 step |Gt|^2 holds.  The accepted trial's slabs and
+    determinants feed the next gradient, so a step costs one batched det and
+    one batched inverse.
+
+    Returns (value, frame, steps taken, stop reason): "tol" when |Gt| < tol,
+    "line_search" when the step falls below _STEP_FLOOR without an accepted
+    trial, "cap" after `iters` steps.  The value never decreases, so the
+    final frame is the best one visited.
+    """
+    n = M.shape[0]
+    slabs, dets = _slabs(rows, M)
+    f = float(coeffs @ dets)
+    M_prev = Gt_prev = None
+    for t in range(iters):
+        G = _gradient(rows, coeffs, slabs, dets, n)
         A = M.T @ G
         Gt = G - M @ ((A + A.T) / 2)
         gn2 = float((Gt * Gt).sum())
         if math.sqrt(gn2) < tol:
-            break
-        accepted = False
-        while step > 1e-14:
+            return f, M, t, "tol"
+        step = 1.0
+        if Gt_prev is not None:
+            s, y = M - M_prev, Gt_prev - Gt
+            sy = float((s * y).sum())
+            if sy > 0:
+                step = min(max(sy / float((y * y).sum()), _STEP_RANGE[0]), _STEP_RANGE[1])
+        while True:
             M2 = _retract(M + step * Gt)
-            f2 = _det_sum(rows, coeffs, M2)
+            slabs2, dets2 = _slabs(rows, M2)
+            f2 = float(coeffs @ dets2)
             if f2 >= f + 1e-4 * step * gn2:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            break
-        M, f = M2, f2
-        if f > best_f:
-            best_f, best_M = f, M
-        step = min(step * 2.0, 4.0)
-    return best_f, best_M
+            if step < _STEP_FLOOR:
+                return f, M, t, "line_search"
+        M_prev, Gt_prev = M, Gt
+        M, f, slabs, dets = M2, f2, slabs2, dets2
+    return f, M, iters, "cap"
+
+
+@dataclass(frozen=True)
+class RestartRecord:
+    """How one restart of the search ended: its final value, the ascent
+    steps it took and why it stopped ("tol", "line_search" or "cap")."""
+
+    value: float
+    iterations: int
+    stop: str
 
 
 @dataclass(frozen=True)
@@ -539,6 +583,8 @@ class ComassReport:
     best_value: float
     best_restart: int
     best_frame: np.ndarray
+    best_random_value: float | None
+    restart_records: tuple
     restarts: int
     iters: int
     tol: float
@@ -560,8 +606,16 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
 
     Restart 0 starts at the largest-coefficient blade frame, so the best
     value is structurally >= the largest absolute coefficient; restart r > 0
-    draws a Gaussian frame from a generator seeded with (seed, r).  Ties keep
-    the lowest restart index.  For middle-degree forms the report carries the
+    draws a Gaussian frame from a generator seeded with (seed, r).  Each
+    restart runs ``_ascend``: Barzilai-Borwein steps with monotone Armijo
+    backtracking and a QR retraction, for at most `iters` steps, stopping
+    early when the projected gradient's norm drops below `tol` or the line
+    search finds no ascent.
+
+    The report carries the best value, frame and restart (ties keep the
+    lowest index), one ``RestartRecord`` per restart, and the best value
+    among the random restarts alone (None with a single restart), which no
+    blade start can supply.  For middle-degree forms it also carries the
     ratio of the wedge-square volume coefficient to the squared best value.
     """
     k = form.grade()
@@ -577,13 +631,15 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     rows, coeffs = _term_arrays(form)
 
     best_f, best_M, best_r = -math.inf, None, -1
+    records = []
     for r in range(restarts):
         if r == 0:
             M0 = _blade_start(form, n, k)
         else:
             rng = np.random.default_rng([seed, r])
             M0 = _retract(rng.standard_normal((n, k)))
-        f, M = _ascend(rows, coeffs, M0, iters, tol)
+        f, M, steps, stop = _ascend(rows, coeffs, M0, iters, tol)
+        records.append(RestartRecord(value=f, iterations=steps, stop=stop))
         if f > best_f:
             best_f, best_M, best_r = f, M, r
     max_coeff = max(abs(float(c)) for c in form.terms().values())
@@ -596,6 +652,8 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
         best_value=float(best_f),
         best_restart=best_r,
         best_frame=best_M,
+        best_random_value=max((rec.value for rec in records[1:]), default=None),
+        restart_records=tuple(records),
         restarts=restarts,
         iters=iters,
         tol=tol,

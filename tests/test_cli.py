@@ -203,7 +203,9 @@ def test_comass_verb(capsys):
     doc = json.loads(captured.out)
     assert doc["form_name"] == "omega1"
     assert abs(doc["best_value"] - 1.0) < 1e-6
-    assert "best" in captured.err
+    assert len(doc["restart_records"]) == 4
+    stops = re.search(r"stops: tol (\d+), line_search (\d+), cap (\d+)", captured.err)
+    assert sum(map(int, stops.groups())) == 4
 
 
 @pytest.mark.parametrize("argv", [
@@ -219,6 +221,14 @@ def test_bad_numbers_exit_2_with_a_message(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+def test_comass_phi_needs_a_random_restart_at_1():
+    # the blade start attains 1 before any step; without steps no random
+    # restart does, so the check must fail
+    measured, _expected, _tol, ok = cli._chk_comass_phi(0, restarts=4, iters=0)
+    assert not ok
+    assert measured.startswith("best 1, random best 0.")
 
 
 def test_broken_route_fails_its_check(monkeypatch):

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calibench import grassmann
+from calibench import forms, grassmann
 from calibench.catalog import RouteDisagreement, build_phi, catalog
-from calibench.forms import RealForm, blade_mask, reorder_sign, wedge
+from calibench.cli import _NEVER_EXCEED_SUITE
+from calibench.forms import RealForm, blade_mask, pullback, reorder_sign, wedge
 from calibench.grassmann import (
     PLANE_TOL,
+    SEARCH_TOL,
     NormalFormSpec,
     calibration_value_closed,
     comass_search,
@@ -332,8 +334,9 @@ class TestComassSearch:
             comass_search(RealForm.blade(4, (1, 2)), tol=-1)
 
     def test_report_serializes(self):
-        keys = {"form_name", "best_value", "best_restart", "best_frame", "restarts", "iters",
-                "tol", "seed", "plane_tol", "max_abs_coeff"}
+        keys = {"form_name", "best_value", "best_restart", "best_frame", "best_random_value",
+                "restart_records", "restarts", "iters", "tol", "seed", "plane_tol",
+                "max_abs_coeff"}
         for f, want in ((RealForm.blade(6, (1, 2)), keys),
                         (RealForm.blade(4, (1, 2)), keys | {"wirt_ratio"})):
             doc = comass_search(f, restarts=2, iters=10, seed=0).to_dict()
@@ -342,6 +345,91 @@ class TestComassSearch:
             frame = doc["best_frame"]
             assert type(frame) is list and len(frame) == f.n
             assert all(type(row) is list and all(type(x) is float for x in row) for row in frame)
+            records = doc["restart_records"]
+            assert [set(rec) for rec in records] == [{"value", "iterations", "stop"}] * 2
+            assert doc["best_random_value"] == records[1]["value"]
+
+    def test_restart_records(self):
+        f = catalog()["omega2"].form
+        rep = comass_search(f, restarts=5, iters=150, seed=3)
+        assert len(rep.restart_records) == 5
+        assert rep.best_value == max(rec.value for rec in rep.restart_records)
+        assert rep.best_random_value == max(rec.value for rec in rep.restart_records[1:])
+        assert all(rec.stop == "tol" and rec.iterations < 150 for rec in rep.restart_records)
+        # with no iterations the restart stops at the cap, and a lone
+        # restart has no random value
+        capped = comass_search(f, restarts=1, iters=0, seed=3)
+        assert capped.restart_records == (grassmann.RestartRecord(capped.best_value, 0, "cap"),)
+        assert capped.best_random_value is None
+
+    def test_generic_position_form_converges(self):
+        # no coefficient of the rotated form reaches 1, so no blade start
+        # attains its comass: every restart has to climb
+        Q = _rational_rotation(8, np.random.default_rng(19))
+        f = pullback(catalog()["cayley"].form, np.array(Q, dtype=object))
+        assert max(abs(c) for c in f.terms().values()) < 1
+        rep = comass_search(f, restarts=8, iters=200, seed=0)
+        assert 1 - 1e-9 <= rep.best_value <= 1 + PLANE_TOL
+        assert all(rec.stop == "tol" for rec in rep.restart_records)
+
+    @pytest.mark.parametrize("name", _NEVER_EXCEED_SUITE)
+    def test_random_restarts_reach_declared_calibrations(self, name):
+        rep = comass_search(catalog()[name].form, restarts=8, iters=150, seed=0, name=name)
+        assert rep.best_random_value >= 1 - SEARCH_TOL
+
+
+def _rational_rotation(n, rng):
+    """Exact orthogonal matrix: the Cayley transform (I + A)^-1 (I - A) of a
+    skew matrix A with entries in {-1/2, 0, 1/2}, by Gauss-Jordan on
+    [I + A | I - A]."""
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            A[i][j] = Fraction(int(rng.integers(-1, 2)), 2)
+            A[j][i] = -A[i][j]
+    aug = [[int(i == j) + A[i][j] for j in range(n)] + [int(i == j) - A[i][j] for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    Q = [row[n:] for row in aug]
+    assert all(sum(Q[t][i] * Q[t][j] for t in range(n)) == int(i == j)
+               for i in range(n) for j in range(n))
+    return Q
+
+
+def test_frame_gradient_scatter_and_singular_slabs():
+    # a random frame takes the all-invertible path; the blade-start frame
+    # with one column perturbed mixes invertible slabs with singular ones,
+    # whose cofactors come from the SVD branch
+    rows, coeffs = forms._term_arrays(PHI)
+    rng = np.random.default_rng(23)
+    mixed = grassmann._blade_start(PHI, 16, 8)
+    mixed[:, 0] += 0.5 * rng.standard_normal(16)
+    generic = np.linalg.qr(rng.standard_normal((16, 8)))[0]
+    mixed_dets = np.abs(np.linalg.det(mixed[rows, :]))
+    assert mixed_dets.min() < 1e-12 and mixed_dets.max() > 1e-3
+    assert np.abs(np.linalg.det(generic[rows, :])).min() > 1e-6
+    h = 1e-2
+    for M in (generic, mixed):
+        slabs = M[rows, :]
+        dets = np.linalg.det(slabs)
+        G = frame_gradient(PHI, M)
+        ref = np.zeros_like(M)
+        np.add.at(ref, rows, coeffs[:, None, None] * grassmann._cofactor_batch(slabs, dets))
+        assert np.array_equal(G, ref)
+        # the value is affine in each entry, so central differences are exact
+        # up to rounding
+        for i in range(16):
+            for j in range(8):
+                Mp = M.copy(); Mp[i, j] += h
+                Mm = M.copy(); Mm[i, j] -= h
+                fd = (frame_value(PHI, Mp) - frame_value(PHI, Mm)) / (2 * h)
+                assert abs(G[i, j] - fd) <= 1e-10
 
 
 def test_frame_gradient_matches_finite_differences():
