@@ -281,7 +281,7 @@ def _chk_cayley_routes(seed):
 
 
 def _chk_cayley_square(seed):
-    f = cat.build_cayley()
+    f = forms.RealForm(8, cat.CAYLEY_TERMS)  # cayley_routes compares the routes
     terms = f.terms()
     ok = (len(terms) == 14
           and all(abs(c) == 1 for c in terms.values())
@@ -469,7 +469,8 @@ def _chk_spinor_value_bound(seed):
 def _chk_comass_blade(seed):
     f = forms.RealForm(16, {(1, 2): 1})
     rep = grassmann.comass_search(f, restarts=4, iters=100, seed=seed, name="blade")
-    ok = abs(rep.best_value - 1.0) <= PLANE_TOL
+    # restart 0 starts on the blade itself, so a random restart must reach 1 too
+    ok = all(v is not None and abs(v - 1.0) <= PLANE_TOL for v in (rep.best_value, rep.best_random_value))
     return _fmt(rep.best_value), "1 within 1e-09", PLANE_TOL, ok
 
 

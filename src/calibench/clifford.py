@@ -65,69 +65,46 @@ def spinor_vector(index):
 def _rep8_perm(i):
     """Signed permutation of the 16 P8 basis vectors under the action of e_i.
 
-    On O+ the image of w is -(w conj(e_i)) in O-; on O- it is (w e_i) in O+.
+    With w e_i = sg e_c read off the octonion table for all eight w at once:
+    on O+ the image of w is -(w conj(e_i)) in O-; on O- it is (w e_i) in O+.
     """
-    perm = np.zeros(16, dtype=np.int64)
-    sign = np.zeros(16, dtype=np.int64)
+    sg, c = np.array([MULT_TABLE[a][i] for a in range(8)], dtype=np.int64).T
     conj_sign = 1 if i == 0 else -1
-    for a in range(8):
-        sg, c = MULT_TABLE[a][i]
-        # from O+
-        perm[a] = 8 + c
-        sign[a] = -conj_sign * sg
-        # from O-
-        perm[8 + a] = c
-        sign[8 + a] = sg
-    return perm, sign
+    return np.concatenate((8 + c, c)), np.concatenate((-conj_sign * sg, sg))
 
 
 def rep8_matrix(v):
     """16x16 matrix of the action of v in R^8 (octonion coordinates) on P8.
 
-    Exact for integer/Fraction coordinates (object dtype), float otherwise.
+    Each nonzero coordinate scatters its signed permutation with one indexed
+    add.  Exact for integer/Fraction coordinates (object dtype, Python int and
+    Fraction entries), float otherwise.
     """
     coords = list(v)
     exact = not any(isinstance(c, (float, np.floating)) for c in coords)
     M = np.zeros((16, 16), dtype=object if exact else float)
     for i, c in enumerate(coords):
-        if not c:
-            continue
-        perm, sign = _rep8_perm(i)
-        for b in range(16):
-            M[perm[b], b] += c * int(sign[b])
+        if c:
+            perm, sign = _rep8_perm(i)
+            M[perm, np.arange(16)] += c * sign.astype(M.dtype)
     return M
 
 
 def _gen16(i):
-    """Signed permutation of P16 under generator i in 0..15 (0-based)."""
-    perm = np.zeros(DIM, dtype=np.int64)
-    sign = np.zeros(DIM, dtype=np.int64)
+    """Signed permutation of P16 under generator i in 0..15 (0-based).
+
+    Built over the whole basis as (s, t, a, b) index arrays in pinor_index
+    order.  Generator i < 8 is e_i (x) vol: the first factor's 8s + a goes to
+    q = p8[8s + a], sign s8 (-1)^t.  Generator 8 + i is id (x) e_i: the second
+    factor's 8t + b goes to q = p8[8t + b], sign s8.
+    """
+    s, t, a, b = np.indices((2, 2, 8, 8)).reshape(4, DIM)
+    p8, s8 = _rep8_perm(i % 8)
     if i < 8:
-        p8, s8 = _rep8_perm(i)
-        for s in range(2):
-            for a in range(8):
-                q = p8[8 * s + a]
-                sg = s8[8 * s + a]
-                s2, a2 = divmod(q, 8)
-                for t in range(2):
-                    nu = 1 if t == 0 else -1
-                    for b in range(8):
-                        src = pinor_index(s, t, a, b)
-                        perm[src] = pinor_index(s2, t, a2, b)
-                        sign[src] = sg * nu
-    else:
-        p8, s8 = _rep8_perm(i - 8)
-        for t in range(2):
-            for b in range(8):
-                q = p8[8 * t + b]
-                sg = s8[8 * t + b]
-                t2, b2 = divmod(q, 8)
-                for s in range(2):
-                    for a in range(8):
-                        src = pinor_index(s, t, a, b)
-                        perm[src] = pinor_index(s, t2, a, b2)
-                        sign[src] = sg
-    return perm, sign
+        q = p8[8 * s + a]
+        return pinor_index(q // 8, t, q % 8, b), s8[8 * s + a] * (1 - 2 * t)
+    q = p8[8 * t + b]
+    return pinor_index(s, q // 8, a, q % 8), s8[8 * t + b]
 
 
 _GENS = [_gen16(i) for i in range(16)]
@@ -164,13 +141,6 @@ def rep16(indices):
     return M
 
 
-def _parity(v):
-    """Parity of the set bits of each entry of a uint8 array."""
-    v = v ^ (v >> 4)
-    v = v ^ (v >> 2)
-    return (v ^ (v >> 1)) & 1
-
-
 def _xor_form(perm, sign):
     """(a, b, t) with perm[c] = c xor a and sign[c] = t (-1)^(b.c) for all c.
 
@@ -180,7 +150,7 @@ def _xor_form(perm, sign):
     a, t = int(perm[0]), int(sign[0])
     b = sum(1 << k for k in range(8) if sign[1 << k] != t)
     if not (np.array_equal(perm, c ^ a)
-            and np.array_equal(sign, t * (1 - 2 * _parity(c & b).astype(np.int64)))):
+            and np.array_equal(sign, t * (1 - 2 * (np.bitwise_count(c & b) & 1).astype(np.int64)))):
         raise ValueError("generator is not a signed XOR permutation")
     return a, b, t
 
@@ -202,7 +172,7 @@ def _blade_tables():
         sz = 1 << h
         X[sz:2 * sz] = X[:sz] ^ a
         Z[sz:2 * sz] = Z[:sz] ^ b
-        SIG[sz:2 * sz] = SIG[:sz] * t * (1 - 2 * _parity(Z[:sz] & a).astype(np.int8))
+        SIG[sz:2 * sz] = SIG[:sz] * t * (1 - 2 * (np.bitwise_count(Z[:sz] & a) & 1).astype(np.int8))
     return X, Z, SIG
 
 

@@ -42,7 +42,13 @@ __all__ = [
     "dump_form",
     "load_form",
     "SchemaError",
+    "MAX_N",
 ]
+
+# largest ambient dimension a serialized form may declare: the catalog lives
+# on R^8 and R^16, and R^32 is the largest planned; the cap keeps a hostile
+# file from making blade masks of millions of bits
+MAX_N = 64
 
 
 class SchemaError(ValueError):
@@ -456,12 +462,12 @@ def form_to_dict(a):
 
 
 def form_from_dict(d):
-    """Inverse of form_to_dict with full schema validation."""
+    """Inverse of form_to_dict with full schema validation; 'n' is at most MAX_N."""
     if not isinstance(d, dict) or set(d) != {"n", "terms"}:
         raise SchemaError("top level must be an object with exactly the keys 'n' and 'terms'")
     n = d["n"]
-    if type(n) is not int or n < 1:
-        raise SchemaError("'n' must be a positive integer")
+    if type(n) is not int or not 1 <= n <= MAX_N:
+        raise SchemaError(f"'n' must be an integer in 1..{MAX_N}")
     if not isinstance(d["terms"], list):
         raise SchemaError("'terms' must be a list")
     seen = set()
@@ -484,9 +490,13 @@ def form_from_dict(d):
         if not (isinstance(num, str) and re.fullmatch("-?[0-9]+", num)
                 and isinstance(den, str) and re.fullmatch("[0-9]+", den)):
             raise SchemaError("'num' and 'den' must be ASCII decimal integer strings, 'den' unsigned")
-        if int(den) == 0:
+        try:
+            num, den = int(num), int(den)
+        except ValueError as e:  # more digits than the interpreter converts
+            raise SchemaError(f"'num' or 'den' too long: {e}") from None
+        if den == 0:
             raise SchemaError("zero denominator")
-        c = Fraction(int(num), int(den))
+        c = Fraction(num, den)
         if c == 0:
             raise SchemaError(f"zero coefficient stored for blade {blade}")
         terms[blade_mask(key)] = c
@@ -501,6 +511,6 @@ def dump_form(a):
 def load_form(text):
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad syntax, over-long numbers, deep nesting
         raise SchemaError(f"invalid JSON: {e}") from None
     return form_from_dict(d)

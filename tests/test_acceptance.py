@@ -17,21 +17,20 @@ NEVER_EXCEED = (
 )
 
 
-def _criterion(num, checks, limit=None):
+def _criterion(num, checks, limit):
     """Run each check id's body with seed 0 and its keyword arguments, print
     the criterion line and assert that every body passed, within `limit`
-    seconds in total when one is given."""
+    seconds in total."""
     bodies = {cid: fn for cid, _claim, fn in cli._EXACT_CHECKS + cli._NUMERIC_CHECKS}
     t0 = time.perf_counter()
     rows = [(cid, *bodies[cid](0, **kwargs)) for cid, kwargs in checks.items()]
     dt = time.perf_counter() - t0
-    ok = all(passed for *_, passed in rows) and (limit is None or dt < limit)
+    ok = all(passed for *_, passed in rows) and dt < limit
     detail = "; ".join(
         f"{cid} {'ok' if passed else 'FAILED'} (measured {measured}; expected {expected})"
         for cid, measured, expected, _tol, passed in rows
     )
-    if limit is not None:
-        detail += f"; {dt:.1f}s (< {limit:g}s)"
+    detail += f"; {dt:.1f}s (< {limit:g}s)"
     print(f"CRITERION {num} {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
     assert ok, f"criterion {num}: {detail}"
 
@@ -41,7 +40,7 @@ def test_criterion_1_main_form_identities():
 
 
 def test_criterion_2_cayley_routes():
-    _criterion(2, {"cayley_routes": {}, "cayley_square": {}})
+    _criterion(2, {"cayley_routes": {}, "cayley_square": {}}, limit=10.0)
 
 
 def test_criterion_3_octonion_identities():
@@ -51,7 +50,7 @@ def test_criterion_3_octonion_identities():
         "octonion_doubling_rules": {},
         "octonion_chain": {},
         "octonion_norm_composition": {"rng": 0},
-    })
+    }, limit=10.0)
 
 
 def test_criterion_4_clifford_layer():
@@ -69,11 +68,11 @@ def test_criterion_5_spinor_family():
         "spinor_closed_forms": {},
         "spinor_pullback": {},
         "spinor_duality": {},
-    }, limit=60.0)
+    }, limit=10.0)
 
 
 def test_criterion_6_diagonal_product():
-    _criterion(6, {"federer_routes": {}, "federer_float": {}}, limit=300.0)
+    _criterion(6, {"federer_routes": {}, "federer_float": {}}, limit=30.0)
 
 
 def test_criterion_7_calibrated_families():
@@ -84,7 +83,7 @@ def test_criterion_7_calibrated_families():
         "planes_case4": {},
         "case4_rows": {},
         "minor_identities": {"rng": 1},
-    })
+    }, limit=10.0)
 
 
 def test_criterion_8_comass_search():
@@ -92,4 +91,4 @@ def test_criterion_8_comass_search():
         "comass_phi": {"restarts": 200, "iters": 500},
         "comass_never_exceed": {"names": NEVER_EXCEED, "restarts": 40, "iters": 200},
         "gradient_check": {"rng": 2},
-    }, limit=600.0)
+    }, limit=120.0)

@@ -231,6 +231,15 @@ def test_comass_phi_needs_a_random_restart_at_1():
     assert measured.startswith("best 1, random best 0.")
 
 
+def test_comass_blade_needs_a_random_restart_at_1(monkeypatch):
+    # restart 0 starts on the blade and attains 1 before any step; with no
+    # steps taken the random restarts do not, so the check must fail
+    search = grassmann.comass_search
+    monkeypatch.setattr(grassmann, "comass_search", lambda form, **kw: search(form, **{**kw, "iters": 0}))
+    measured, _expected, _tol, ok = cli._chk_comass_blade(0)
+    assert measured == "1" and not ok
+
+
 def test_broken_route_fails_its_check(monkeypatch):
     # one flipped sign in the frozen Cayley expansion must surface as a
     # failed row in both checks that compare against it

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,21 @@ def test_blades_match_oracle_products():
         for i in idx:
             prod = prod @ singles[i - 1]
         assert (rep16(idx).astype(float) == prod).all(), idx
+
+
+def test_generator_tables_are_pinned():
+    # the oracles above build from rep8_matrix, so an error that _rep8_perm
+    # passes on consistently needs this digest: the 16 generators, the blade
+    # tables, and the exact P8 basis matrices with their entry types
+    h = hashlib.sha256()
+    arrays = [arr for gen in clifford._GENS for arr in gen] + list(clifford._blade_tables())
+    for arr in arrays:
+        h.update(arr.dtype.str.encode() + arr.tobytes())
+    for i in range(8):
+        for coords in (_unit8(i), [int(m == i) for m in range(8)]):
+            M = rep8_matrix(coords)
+            h.update(repr([M.dtype.str] + [(type(x).__name__, str(x)) for x in M.flat]).encode())
+    assert h.hexdigest() == "2a74d544aa754d9df1a628e2427baf122f3fa3dfeb4df68bd8c2b6384df1d4dc"
 
 
 def test_generator_relations():

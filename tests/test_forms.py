@@ -383,10 +383,20 @@ class TestSerialization:
             {"n": 4, "terms": [{"blade": [1], "num": "+3", "den": "1"}]},
             {"n": 4, "terms": [{"blade": [1], "num": "\u0661\u0662", "den": "1"}]},
             {"n": 4, "terms": [{"blade": [1], "num": "1", "den": "-2"}]},
+            # past the interpreter's integer digit limit
+            {"n": 4, "terms": [{"blade": [1], "num": "1" * 5000, "den": "1"}]},
+            {"n": 4, "terms": [{"blade": [1], "num": "1", "den": "1" * 5000}]},
+            # over MAX_N, rejected before any blade becomes a 2^20-bit mask
+            {"n": 2**20, "terms": [{"blade": [2**20], "num": "1", "den": "1"}]},
         ]
         for d in bad_cases:
             with pytest.raises(SchemaError):
                 form_from_dict(d)
+
+    def test_load_form_rejects_what_json_cannot_parse(self):
+        for text in ('{"n": 1' + "0" * 5000 + ', "terms": []}', "[" * 100000 + "]" * 100000, "{"):
+            with pytest.raises(SchemaError, match="invalid JSON"):
+                load_form(text)
 
     def test_volume_norm_sanity(self):
         for n in range(1, 7):
