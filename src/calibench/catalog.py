@@ -349,7 +349,7 @@ def norm_table(f):
 class CatalogEntry:
     name: str
     form: RealForm
-    comass_expected: Fraction | None
+    comass_expected: Fraction
 
 
 @functools.lru_cache(maxsize=None)

@@ -77,16 +77,14 @@ def rep8_matrix(v):
     """16x16 matrix of the action of v in R^8 (octonion coordinates) on P8.
 
     Each nonzero coordinate scatters its signed permutation with one indexed
-    add.  Exact for integer/Fraction coordinates (object dtype, Python int and
-    Fraction entries), float otherwise.
+    add.  Exact: object dtype, with Python int and Fraction entries for
+    integer and Fraction coordinates.
     """
-    coords = list(v)
-    exact = not any(isinstance(c, (float, np.floating)) for c in coords)
-    M = np.zeros((16, 16), dtype=object if exact else float)
-    for i, c in enumerate(coords):
+    M = np.zeros((16, 16), dtype=object)
+    for i, c in enumerate(v):
         if c:
             perm, sign = _rep8_perm(i)
-            M[perm, np.arange(16)] += c * sign.astype(M.dtype)
+            M[perm, np.arange(16)] += c * sign.astype(object)
     return M
 
 

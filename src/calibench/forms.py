@@ -109,9 +109,7 @@ def _exact(x):
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"exact coefficient required (int/Fraction/str), got {type(x).__name__}")
+    raise TypeError(f"exact coefficient required (int/Fraction), got {type(x).__name__}")
 
 
 class RealForm:
@@ -128,13 +126,14 @@ class RealForm:
     __slots__ = ("n", "_terms", "_float_view")
 
     def __init__(self, n, terms=None):
+        """``terms`` is a dict from blade (bitmask or increasing index tuple)
+        to int or Fraction; equal blades add and zero sums drop."""
         if not isinstance(n, int) or n < 1:
             raise ValueError("dimension n must be a positive integer")
         self.n = n
         clean = {}
         if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for key, coeff in items:
+            for key, coeff in terms.items():
                 mask = key if isinstance(key, int) else blade_mask(key)
                 if mask < 0 or mask >= (1 << n):
                     raise ValueError(f"blade {mask_indices(mask) if mask >= 0 else mask} out of range for n={n}")

@@ -34,7 +34,6 @@ from calibench.catalog import (
     build_phi,
     holomorphic_volume,
     kaehler_form,
-    kaehler_power,
 )
 from calibench.forms import RealForm, _term_arrays, evaluate, wedge
 
@@ -130,15 +129,9 @@ def realize(spec):
 _J16 = np.kron(np.eye(8), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
-@functools.cache
-def _omega4_form():
-    return kaehler_power(STANDARD16, 4)
-
-
 def kaehler_angles(frame):
-    """Angles in [0, pi/2] (ascending) of an orthonormal 16x8 frame, plus an
-    orientation sign from the top Kaehler power (+1 when that value is
-    numerically zero)."""
+    """Kaehler angles in [0, pi/2], ascending, of an orthonormal 16x8 frame.
+    An angle in (pi/2, pi] folds back to pi minus itself."""
     M = np.asarray(frame)
     if np.iscomplexobj(M):
         raise ValueError("complex entries in frame")
@@ -152,10 +145,7 @@ def kaehler_angles(frame):
     if np.abs(s[0::2] - s[1::2]).max() > 1e-8:
         raise ValueError("singular values of the Kaehler pairing do not pair up")
     cosines = np.clip((s[0::2] + s[1::2]) / 2.0, 0.0, 1.0)
-    angles = np.arccos(cosines)[::-1]
-    pf = evaluate(_omega4_form(), M)
-    sign = 1 if abs(pf) < 1e-12 else (1 if pf > 0 else -1)
-    return np.sort(angles), sign
+    return np.sort(np.arccos(cosines))
 
 
 # group samplers --------------------------------------------------------------
@@ -453,9 +443,7 @@ def _cofactor_batch(slabs, dets):
     """d det(A)/dA for a [T,k,k] batch with determinants `dets`: det(A) A^{-T},
     SVD fallback near singularity (adjugate via products of singular values,
     no division)."""
-    T, k, _ = slabs.shape
-    if k == 1:
-        return np.ones_like(slabs)
+    k = slabs.shape[1]
     scale = np.abs(slabs).max(axis=(1, 2)) + 1e-300
     good = np.abs(dets) > 1e-8 * scale**k
     if good.all():

@@ -8,14 +8,13 @@ from fractions import Fraction
 import pytest
 
 from calibench import catalog as cat
-from calibench import cli, grassmann
+from calibench import cli, forms, grassmann
 from calibench.catalog import catalog
 from calibench.cli import (
     SCHEMA_VERSION,
     _default_seed,
     _fmt,
     export_form,
-    import_form,
     main,
     run_suite,
 )
@@ -237,7 +236,7 @@ def test_comass_blade_needs_a_random_restart_at_1(monkeypatch):
     search = grassmann.comass_search
     monkeypatch.setattr(grassmann, "comass_search", lambda form, **kw: search(form, **{**kw, "iters": 0}))
     measured, _expected, _tol, ok = cli._chk_comass_blade(0)
-    assert measured == "1" and not ok
+    assert measured.startswith("best 1, random best ") and not ok
 
 
 def test_broken_route_fails_its_check(monkeypatch):
@@ -246,10 +245,11 @@ def test_broken_route_fails_its_check(monkeypatch):
     monkeypatch.setitem(cat.CAYLEY_TERMS, (1, 2, 3, 4), -1)
     cat.build_spinor_family.cache_clear()
     cat.catalog.cache_clear()
+    bodies = {cid: fn for cid, _claim, fn in cli._EXACT_CHECKS}
     try:
-        for body, message in ((cli._chk_cayley_routes, "cayley route chain_alt disagrees"),
-                              (cli._chk_spinor_closed_forms, "spinor family check psi_4 failed")):
-            measured, _expected, _tol, ok = body(0)
+        for check_id, message in (("cayley_routes", "cayley route chain_alt disagrees"),
+                                  ("spinor_closed_forms", "spinor family check psi_4 failed")):
+            measured, _expected, _tol, ok = bodies[check_id](0)
             assert not ok
             assert message in measured
     finally:
@@ -293,13 +293,26 @@ def test_comass_unknown_form(capsys):
     assert "unknown form" in capsys.readouterr().err
 
 
+def test_comass_verb_reports_line_search_stops(capsys):
+    argv = ["comass", "--form", "omega2", "--restarts", "4", "--iters", "500", "--tol", "0", "--seed", "0"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert int(re.search(r"line_search (\d+)", captured.err).group(1)) >= 1
+    assert json.loads(captured.out)["best_value"] <= 1 + cli.PLANE_TOL
+
+
+def test_comass_verb_fails_above_the_declared_comass(monkeypatch, capsys):
+    entries = dict(catalog())
+    entries["omega1"] = cat.CatalogEntry("omega1", entries["omega1"].form, Fraction(1, 2))
+    monkeypatch.setattr(cat, "catalog", lambda: entries)
+    assert main(["comass", "--form", "omega1", "--restarts", "2", "--iters", "50", "--seed", "0"]) == 1
+    assert "exceeds declared comass 1/2" in capsys.readouterr().err
+
+
 def test_export_import_roundtrip(tmp_path):
     path = tmp_path / "cayley.json"
     export_form("cayley", str(path))
-    entry = import_form(str(path))
-    assert entry.name == "cayley"
-    assert entry.comass_expected is None
-    assert entry.form == catalog()["cayley"].form
+    assert forms.load_form(path.read_text()) == catalog()["cayley"].form
     # exporting again writes identical bytes
     again = tmp_path / "again.json"
     export_form("cayley", str(again))
@@ -316,7 +329,7 @@ def test_export_verb_error_paths(tmp_path, capsys):
 def test_export_verb_happy_path(tmp_path, capsys):
     out = tmp_path / "omega1.json"
     assert main(["export", "--form", "omega1", "--out", str(out)]) == 0
-    assert import_form(str(out)).form == catalog()["omega1"].form
+    assert forms.load_form(out.read_text()) == catalog()["omega1"].form
 
 
 def test_tables_verb(capsys):

@@ -127,12 +127,6 @@ def test_rep8_squares_to_minus_norm():
         assert (M @ M == -nsq * np.eye(16, dtype=object)).all()
 
 
-def test_rep8_float_lane():
-    M = rep8_matrix([0.5] + [0.0] * 7)
-    assert M.dtype == float
-    assert np.allclose(M @ M, -0.25 * np.eye(16))
-
-
 def test_rep16_validates_indices():
     with pytest.raises(ValueError):
         rep16((2, 1))

@@ -180,7 +180,7 @@ class TestRealFormArithmetic:
             assert (a * s) * (1 / s) == a
 
     def test_like_terms_collapse(self):
-        f = RealForm(4, [((1, 2), Fraction(1, 2)), ((1, 2), Fraction(-1, 2))])
+        f = RealForm(4, {(1, 2): Fraction(1, 2), 0b11: Fraction(-1, 2)})
         assert f.is_zero()
 
     def test_grade_checks(self):

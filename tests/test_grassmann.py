@@ -83,13 +83,12 @@ def test_realize_frames_are_orthonormal():
 class TestKaehlerAngles:
     def test_complex_plane(self):
         spec = NormalFormSpec(np.eye(8), (0.0,) * 4)
-        angles, sign = kaehler_angles(realize(spec))
+        angles = kaehler_angles(realize(spec))
         assert np.abs(angles).max() < 1e-7
-        assert sign == 1
 
     def test_lagrangian_plane(self):
         spec = NormalFormSpec(np.eye(8), (math.pi / 2,) * 4)
-        angles, sign = kaehler_angles(realize(spec))
+        angles = kaehler_angles(realize(spec))
         assert np.abs(angles - math.pi / 2).max() < 1e-7
 
     @given(st.lists(st.floats(min_value=0.05, max_value=1.5), min_size=4, max_size=4))
@@ -97,16 +96,15 @@ class TestKaehlerAngles:
     def test_acute_roundtrip(self, raw):
         th = sorted(raw)
         spec = NormalFormSpec(np.eye(8), tuple(th))
-        angles, sign = kaehler_angles(realize(spec))
+        angles = kaehler_angles(realize(spec))
         assert np.abs(np.sort(np.sin(angles)) - np.sort(np.sin(th))).max() < 1e-8
 
-    def test_obtuse_angle_folds_back_with_negative_sign(self):
+    def test_obtuse_angle_folds_back(self):
         th = (0.3, 0.4, 0.5, math.pi - 0.2)
         spec = NormalFormSpec(np.eye(8), th)
-        angles, sign = kaehler_angles(realize(spec))
+        angles = kaehler_angles(realize(spec))
         expect = np.sort([0.3, 0.4, 0.5, 0.2])
         assert np.abs(np.sort(angles) - expect).max() < 1e-8
-        assert sign == -1
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -322,6 +320,14 @@ class TestComassSearch:
             f = RealForm(6, {pool[i]: Fraction(int(rng.integers(-3, 4)) or 2, 2) for i in picks})
             rep = comass_search(f, restarts=3, iters=80, seed=2)
             assert rep.best_value >= rep.max_abs_coeff - 1e-9
+
+    def test_one_form_reaches_its_norm(self):
+        # the comass of a 1-form is its Euclidean norm; restart 0 starts on the
+        # largest coefficient, -5, and flips its one column
+        f = RealForm(5, {(1,): 2, (3,): -5, (4,): 1})
+        rep = comass_search(f, restarts=4, iters=100, seed=0)
+        assert abs(rep.best_value - math.sqrt(30)) <= SEARCH_TOL
+        assert abs(rep.best_random_value - math.sqrt(30)) <= SEARCH_TOL
 
     def test_rejects_inhomogeneous_and_scalar_forms(self):
         with pytest.raises(ValueError):
