@@ -120,10 +120,10 @@ class RealForm:
 
     A form's terms never change after construction: only ``__init__`` and
     ``_own`` set ``_terms``, and each does so on a new object.  The float view
-    (see ``_term_arrays``) relies on this.
+    (see ``_term_arrays``) and the cached grade list rely on this.
     """
 
-    __slots__ = ("n", "_terms", "_float_view")
+    __slots__ = ("n", "_terms", "_float_view", "_grades")
 
     def __init__(self, n, terms=None):
         """``terms`` is a dict from blade (bitmask or increasing index tuple)
@@ -146,6 +146,7 @@ class RealForm:
                         clean.pop(mask, None)
         self._terms = clean
         self._float_view = None
+        self._grades = None
 
     # construction helpers -------------------------------------------------
 
@@ -188,7 +189,10 @@ class RealForm:
         return not self._terms
 
     def grades(self):
-        return sorted({m.bit_count() for m in self._terms})
+        """Sorted distinct grades of the terms, computed once per form."""
+        if self._grades is None:
+            self._grades = tuple(sorted({m.bit_count() for m in self._terms}))
+        return list(self._grades)
 
     def grade(self):
         """The single grade of a homogeneous form.  Zero form has grade None."""
@@ -335,6 +339,13 @@ def evaluate(a, vectors):
     sum_I c_I det(rows I of vectors), by batched LU (numpy det), over the
     form's float view, which is built once per form.  Raises on grade/shape
     mismatch and on complex or non-finite input.
+
+    Terms whose row set meets an all-zero row of ``vectors`` are dropped
+    before the dets are taken.  This is exact: partial-pivoting LU keeps a
+    zero row exactly zero (its multipliers are 0 and the entries finite), so
+    its slab's det is exactly 0 and the term adds c * (+-0.0) to the sum.  On
+    a coordinate frame at most one term survives, so the value is that one
+    product, bit for bit; frames with no zero row take the full batch.
     """
     M = np.asarray(vectors)
     if np.iscomplexobj(M):
@@ -357,6 +368,10 @@ def evaluate(a, vectors):
     if k == 0:
         return float(a.coefficient(()))
     rows, coeffs = _term_arrays(a)
+    zero = ~M.any(axis=1)
+    if zero.any():
+        keep = ~zero[rows].any(axis=1)
+        rows, coeffs = rows[keep], coeffs[keep]
     return float(coeffs @ np.linalg.det(M[rows, :]))
 
 

@@ -72,7 +72,7 @@ def test_criterion_5_spinor_family():
 
 
 def test_criterion_6_diagonal_product():
-    _criterion(6, {"federer_routes": {}, "federer_float": {}}, limit=30.0)
+    _criterion(6, {"federer_routes": {}, "federer_float": {}}, limit=5.0)
 
 
 def test_criterion_7_calibrated_families():

@@ -186,8 +186,10 @@ class TestRealFormArithmetic:
     def test_grade_checks(self):
         mixed = RealForm(4, {(1,): 1, (1, 2): 1})
         assert mixed.grades() == [1, 2]
-        with pytest.raises(ValueError):
-            mixed.grade()
+        mixed.grades().append(7)  # the cached grades are not handed out
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"form is not homogeneous, grades \[1, 2\]"):
+                mixed.grade()
         assert mixed.grade_part(2) == RealForm.blade(4, (1, 2))
 
     def test_float_coefficients_rejected(self):
@@ -225,16 +227,60 @@ class TestEvaluate:
         assert evaluate(f, np.eye(3)) == 1.0
 
     def test_shape_and_grade_errors(self):
+        # the frames have zero rows: errors come before terms are dropped
         f = RealForm.blade(4, (1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grade 2, got 3"):
             evaluate(f, np.zeros((4, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"R\^5"):
             evaluate(f, np.zeros((5, 2)))
-        with pytest.raises(ValueError):
-            evaluate(f, np.array([[np.nan, 0]] * 4))
-        for complex_frame in ([[1, 1j], [0, 1]], np.array([[1, 1j], [0, 1]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(f, np.array([[np.nan, 0]] + [[0, 0]] * 3))
+        for complex_frame in ([[1, 1j], [0, 0]], np.array([[1, 1j], [0, 0]])):
             with pytest.raises(ValueError, match="complex"):
                 evaluate(RealForm(2, {(1, 2): 1}), complex_frame)
+        with pytest.raises(ValueError, match=r"form is not homogeneous, grades \[1, 2\]"):
+            evaluate(RealForm(4, {(1,): 1, (1, 2): 1}), np.zeros((4, 2)))
+
+    def test_zero_rows_drop_only_zero_terms(self):
+        # random forms on R^n, n <= 8, on frames with randomly zeroed rows or
+        # on scaled coordinate frames, against the unpruned det sum
+        rng = np.random.default_rng(29)
+        single = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, n + 1))
+            pool = blades_of(n, k)
+            picks = rng.choice(len(pool), size=min(len(pool), int(rng.integers(1, 16))), replace=False)
+            f = RealForm(n, {pool[i]: Fraction(int(rng.integers(-5, 6)) or 1, int(rng.integers(1, 4)))
+                             for i in picks})
+            if rng.random() < 0.25:
+                M = np.eye(n)[:, rng.choice(n, size=k, replace=False)] * rng.standard_normal()
+            else:
+                M = rng.standard_normal((n, k))
+                M[rng.random(n) < 0.25, :] = 0.0
+            rows, coeffs = _term_arrays(f)
+            dets = np.linalg.det(M[rows, :])
+            reference = float(coeffs @ dets)
+            live = ~np.array([any(not M[i - 1].any() for i in mask_indices(m)) for m in f._terms])
+            # every dropped slab has det exactly 0 in the unpruned sum
+            assert (dets[~live] == 0.0).all()
+            got = evaluate(f, M)
+            if live.sum() <= 1:
+                single += 1
+                assert got == reference
+            else:
+                assert abs(got - reference) <= 1e-12
+        assert single > 50
+
+    def test_frames_that_kill_every_term_give_zero(self):
+        f = RealForm(4, {(1, 2): 3, (2, 4): Fraction(-1, 2), (1, 3): 1})
+        assert evaluate(f, np.zeros((4, 2))) == 0.0
+        M = np.arange(8.0).reshape(4, 2) + 1
+        M[[0, 1], :] = 0.0  # every term has row 1 or 2
+        assert evaluate(f, M) == 0.0
+        assert evaluate(RealForm.volume(3), np.diag([2.0, 0.0, 5.0])) == 0.0
+        for _ in range(2):  # the zero form, whose grade is None
+            assert evaluate(RealForm.zero(3), np.eye(3)[:, :2]) == 0.0
 
 
 _A = RealForm(5, {(1, 2): 1, (3, 5): Fraction(1, 3), (2, 4): -2})

@@ -260,6 +260,10 @@ class TestFederer:
     def test_float_total_matches_shuffle_sum_r6(self, f):
         assert abs(federer_eval(f) - float(federer_product(f))) < 1e-12
 
+    def test_float_total_of_phi_is_pinned(self):
+        # 147/128 = 0x1.26p+0; the float total lands one ulp below it
+        assert federer_eval(PHI).hex() == "0x1.25fffffffffffp+0"
+
     def test_routes_raise_on_disagreement(self, monkeypatch):
         monkeypatch.setattr(grassmann, "federer_product", lambda form: Fraction(1))
         with pytest.raises(RouteDisagreement, match="wedge route 147/128 != shuffle route 1"):
