@@ -375,6 +375,14 @@ def _shuffle_sum(n, coeff):
     return total
 
 
+def _middle_degree(form):
+    """The grade k of a form on R^{2k}; raises for any other form."""
+    k = form.grade()
+    if k is None or form.n != 2 * k:
+        raise ValueError("need a middle-degree form (grade n/2)")
+    return k
+
+
 def federer_product(form):
     """Exact shuffle-sum value of (form x form) on the diagonal tuple.
 
@@ -383,9 +391,7 @@ def federer_product(form):
     sign(I, I^c) c_I c_{I^c}, with the 2^{-k} scaling factored out so the
     result stays rational.
     """
-    k = form.grade()
-    if k is None or form.n != 2 * k:
-        raise ValueError("need a middle-degree form (grade n/2)")
+    k = _middle_degree(form)
     return _shuffle_sum(form.n, form.coefficient) / Fraction(2) ** k
 
 
@@ -426,8 +432,9 @@ def federer_eval(form):
     dets, and the loop takes ~0.4 s (~25 us per call) instead of ~3 s on a
     2-core Xeon.
     """
+    _middle_degree(form)
     frame = np.eye(form.n) / math.sqrt(2.0)
-    return _shuffle_sum(form.n, lambda I: evaluate(form, frame[:, [i - 1 for i in I]]))
+    return float(_shuffle_sum(form.n, lambda I: evaluate(form, frame[:, [i - 1 for i in I]])))
 
 
 # comass search -------------------------------------------------------------------
@@ -492,20 +499,6 @@ def _retract(X):
     d = np.sign(np.diag(R))
     d[d == 0] = 1.0
     return Q * d
-
-
-def _blade_start(form, n, k):
-    best = max(form.terms().items(), key=lambda kv: (abs(kv[1]), tuple(-i for i in kv[0])))
-    indices, coeff = best
-    M = np.zeros((n, k))
-    for col, i in enumerate(indices):
-        M[i - 1, col] = 1.0
-    if coeff < 0:
-        if k >= 2:
-            M[:, [0, 1]] = M[:, [1, 0]]
-        else:
-            M[:, 0] *= -1.0
-    return M
 
 
 _STEP_RANGE = (1e-6, 1e6)
@@ -576,7 +569,6 @@ class ComassReport:
     best_value: float
     best_restart: int
     best_frame: np.ndarray
-    best_random_value: float | None
     restart_records: tuple
     restarts: int
     iters: int
@@ -597,19 +589,19 @@ class ComassReport:
 def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=None):
     """Projected-gradient ascent over orthonormal k-frames, multi-restart.
 
-    Restart 0 starts at the largest-coefficient blade frame, so the best
-    value is structurally >= the largest absolute coefficient; restart r > 0
-    draws a Gaussian frame from a generator seeded with (seed, r).  Each
-    restart runs ``_ascend``: Barzilai-Borwein steps with monotone Armijo
-    backtracking and a QR retraction, for at most `iters` steps, stopping
-    early when the projected gradient's norm drops below `tol` or the line
-    search finds no ascent.
+    Restart r starts from a Gaussian frame drawn from a generator seeded
+    with (seed, r); no restart starts on a coordinate blade, so the best
+    value is one an ascent reached.  Each restart runs ``_ascend``:
+    Barzilai-Borwein steps with monotone Armijo backtracking and a QR
+    retraction, for at most `iters` steps, stopping early when the projected
+    gradient's norm drops below `tol` or the line search finds no ascent.
 
     The report carries the best value, frame and restart (ties keep the
-    lowest index), one ``RestartRecord`` per restart, and the best value
-    among the random restarts alone (None with a single restart), which no
-    blade start can supply.  For middle-degree forms it also carries the
-    ratio of the wedge-square volume coefficient to the squared best value.
+    lowest index), one ``RestartRecord`` per restart, and the largest
+    absolute coefficient, which is the value of the form on its best
+    coordinate blade and so a lower bound of the comass.  For middle-degree
+    forms it also carries the ratio of the wedge-square volume coefficient
+    to the squared best value.
     """
     k = form.grade()
     if k is None:
@@ -618,6 +610,8 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
         raise ValueError("comass search needs grade >= 1")
     if restarts < 1:
         raise ValueError("comass search needs at least one restart")
+    if iters < 0:
+        raise ValueError("comass search needs iters >= 0")
     if not tol >= 0:
         raise ValueError("comass search needs a tolerance >= 0")
     n = form.n
@@ -626,11 +620,7 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     best_f, best_M, best_r = -math.inf, None, -1
     records = []
     for r in range(restarts):
-        if r == 0:
-            M0 = _blade_start(form, n, k)
-        else:
-            rng = np.random.default_rng([seed, r])
-            M0 = _retract(rng.standard_normal((n, k)))
+        M0 = _retract(np.random.default_rng([seed, r]).standard_normal((n, k)))
         f, M, steps, stop = _ascend(rows, coeffs, M0, iters, tol)
         records.append(RestartRecord(value=f, iterations=steps, stop=stop))
         if f > best_f:
@@ -645,7 +635,6 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
         best_value=float(best_f),
         best_restart=best_r,
         best_frame=best_M,
-        best_random_value=max((rec.value for rec in records[1:]), default=None),
         restart_records=tuple(records),
         restarts=restarts,
         iters=iters,

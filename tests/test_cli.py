@@ -223,20 +223,20 @@ def test_bad_numbers_exit_2_with_a_message(argv, capsys):
 
 
 def test_comass_phi_needs_a_random_restart_at_1():
-    # the blade start attains 1 before any step; without steps no random
-    # restart does, so the check must fail
+    # every restart starts on a random frame; without steps none reaches 1,
+    # so the check must fail
     measured, _expected, _tol, ok = cli._chk_comass_phi(0, restarts=4, iters=0)
     assert not ok
-    assert measured.startswith("best 1, random best 0.")
+    assert measured.startswith("best 0.")
 
 
 def test_comass_blade_needs_a_random_restart_at_1(monkeypatch):
-    # restart 0 starts on the blade and attains 1 before any step; with no
-    # steps taken the random restarts do not, so the check must fail
+    # every restart starts on a random frame; with no steps taken none
+    # reaches 1, so the check must fail
     search = grassmann.comass_search
     monkeypatch.setattr(grassmann, "comass_search", lambda form, **kw: search(form, **{**kw, "iters": 0}))
     measured, _expected, _tol, ok = cli._chk_comass_blade(0)
-    assert measured.startswith("best 1, random best ") and not ok
+    assert measured.startswith("0.") and not ok
 
 
 def test_broken_route_fails_its_check(monkeypatch):

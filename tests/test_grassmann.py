@@ -262,7 +262,9 @@ class TestFederer:
 
     def test_float_total_of_phi_is_pinned(self):
         # 147/128 = 0x1.26p+0; the float total lands one ulp below it
-        assert federer_eval(PHI).hex() == "0x1.25fffffffffffp+0"
+        total = federer_eval(PHI)
+        assert type(total) is float
+        assert total.hex() == "0x1.25fffffffffffp+0"
 
     def test_routes_raise_on_disagreement(self, monkeypatch):
         monkeypatch.setattr(grassmann, "federer_product", lambda form: Fraction(1))
@@ -274,10 +276,11 @@ class TestFederer:
         assert federer_product(om) == Fraction(1, 2)
 
     def test_rejects_non_middle_forms(self):
-        with pytest.raises(ValueError):
-            federer_product(RealForm.blade(4, (1,)))
-        with pytest.raises(ValueError):
-            federer_product(RealForm(4, {(1,): 1, (1, 2): 1}))
+        for f in (RealForm.blade(4, (1,)), RealForm(4, {(1,): 1, (1, 2): 1}),
+                  RealForm(4), RealForm.blade(4, (1, 2, 3))):
+            for route in (federer_product, federer_eval):
+                with pytest.raises(ValueError):
+                    route(f)
 
     def test_shuffle_sign_matches_reorder_sign(self):
         for n, k in ((4, 2), (6, 3), (8, 4)):
@@ -288,10 +291,9 @@ class TestFederer:
 
 
 class TestComassSearch:
-    def test_blade_form_is_found_immediately(self):
+    def test_blade_form_is_found_by_ascent(self):
         f = RealForm.blade(8, (1, 2, 3, 4), Fraction(3, 2))
         rep = comass_search(f, restarts=4, iters=50, seed=1)
-        assert rep.best_restart == 0
         assert abs(rep.best_value - 1.5) < 1e-9
         assert rep.max_abs_coeff == 1.5
         # a single blade wedges to zero against itself
@@ -326,12 +328,10 @@ class TestComassSearch:
             assert rep.best_value >= rep.max_abs_coeff - 1e-9
 
     def test_one_form_reaches_its_norm(self):
-        # the comass of a 1-form is its Euclidean norm; restart 0 starts on the
-        # largest coefficient, -5, and flips its one column
+        # the comass of a 1-form is its Euclidean norm
         f = RealForm(5, {(1,): 2, (3,): -5, (4,): 1})
         rep = comass_search(f, restarts=4, iters=100, seed=0)
         assert abs(rep.best_value - math.sqrt(30)) <= SEARCH_TOL
-        assert abs(rep.best_random_value - math.sqrt(30)) <= SEARCH_TOL
 
     def test_rejects_inhomogeneous_and_scalar_forms(self):
         with pytest.raises(ValueError):
@@ -342,9 +342,11 @@ class TestComassSearch:
             comass_search(RealForm.blade(4, (1, 2)), restarts=0)
         with pytest.raises(ValueError):
             comass_search(RealForm.blade(4, (1, 2)), tol=-1)
+        with pytest.raises(ValueError):
+            comass_search(RealForm.blade(4, (1, 2)), iters=-3)
 
     def test_report_serializes(self):
-        keys = {"form_name", "best_value", "best_restart", "best_frame", "best_random_value",
+        keys = {"form_name", "best_value", "best_restart", "best_frame",
                 "restart_records", "restarts", "iters", "tol", "seed", "plane_tol",
                 "max_abs_coeff"}
         for f, want in ((RealForm.blade(6, (1, 2)), keys),
@@ -357,24 +359,29 @@ class TestComassSearch:
             assert all(type(row) is list and all(type(x) is float for x in row) for row in frame)
             records = doc["restart_records"]
             assert [set(rec) for rec in records] == [{"value", "iterations", "stop"}] * 2
-            assert doc["best_random_value"] == records[1]["value"]
 
     def test_restart_records(self):
         f = catalog()["omega2"].form
         rep = comass_search(f, restarts=5, iters=150, seed=3)
         assert len(rep.restart_records) == 5
         assert rep.best_value == max(rec.value for rec in rep.restart_records)
-        assert rep.best_random_value == max(rec.value for rec in rep.restart_records[1:])
         assert all(rec.stop == "tol" and rec.iterations < 150 for rec in rep.restart_records)
-        # with no iterations the restart stops at the cap, and a lone
-        # restart has no random value
+        # with no iterations the restart stops at the cap
         capped = comass_search(f, restarts=1, iters=0, seed=3)
         assert capped.restart_records == (grassmann.RestartRecord(capped.best_value, 0, "cap"),)
-        assert capped.best_random_value is None
+
+    def test_restart_r_starts_from_stream_seed_r(self):
+        # with no steps each record is the value at the start frame, which
+        # restart r draws from the generator seeded with (seed, r)
+        f = RealForm.blade(8, (1, 2, 3, 4), Fraction(3, 2))
+        rep = comass_search(f, restarts=4, iters=0, seed=1)
+        starts = [grassmann._retract(np.random.default_rng([1, r]).standard_normal((8, 4)))
+                  for r in range(4)]
+        assert [rec.value for rec in rep.restart_records] == [forms.evaluate(f, M) for M in starts]
 
     def test_generic_position_form_converges(self):
-        # no coefficient of the rotated form reaches 1, so no blade start
-        # attains its comass: every restart has to climb
+        # no coefficient of the rotated form reaches 1, so no coordinate
+        # blade attains its comass
         Q = _rational_rotation(8, np.random.default_rng(19))
         f = pullback(catalog()["cayley"].form, np.array(Q, dtype=object))
         assert max(abs(c) for c in f.terms().values()) < 1
@@ -385,7 +392,7 @@ class TestComassSearch:
     @pytest.mark.parametrize("name", _NEVER_EXCEED_SUITE)
     def test_random_restarts_reach_declared_calibrations(self, name):
         rep = comass_search(catalog()[name].form, restarts=8, iters=150, seed=0, name=name)
-        assert rep.best_random_value >= 1 - SEARCH_TOL
+        assert rep.best_value >= 1 - SEARCH_TOL
 
 
 def _rational_rotation(n, rng):
@@ -413,12 +420,12 @@ def _rational_rotation(n, rng):
 
 
 def test_frame_gradient_scatter_and_singular_slabs():
-    # a random frame takes the all-invertible path; the blade-start frame
-    # with one column perturbed mixes invertible slabs with singular ones,
-    # whose cofactors come from the SVD branch
+    # a random frame takes the all-invertible path; the coordinate frame
+    # e_1..e_8 with one column perturbed mixes invertible slabs with
+    # singular ones, whose cofactors come from the SVD branch
     rows, coeffs = forms._term_arrays(PHI)
     rng = np.random.default_rng(23)
-    mixed = grassmann._blade_start(PHI, 16, 8)
+    mixed = np.eye(16)[:, :8]
     mixed[:, 0] += 0.5 * rng.standard_normal(16)
     generic = np.linalg.qr(rng.standard_normal((16, 8)))[0]
     mixed_dets = np.abs(np.linalg.det(mixed[rows, :]))
