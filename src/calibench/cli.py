@@ -192,8 +192,8 @@ def _chk_clifford_generators(seed):
 def _chk_clifford_volume8(seed):
     M = np.eye(16, dtype=object)
     for i in range(8, 0, -1):
-        v = [Fraction(0)] * 8
-        v[i - 1] = Fraction(1)
+        v = [0] * 8
+        v[i - 1] = 1
         M = clifford.rep8_matrix(v) @ M
     want = np.block([
         [np.eye(8, dtype=object), np.zeros((8, 8), dtype=object)],

@@ -1,5 +1,10 @@
 """Octonion arithmetic over exact rationals.
 
+Coordinates are ints or Fractions.  A product puts each factor over the lcm
+of its coordinates' denominators, sums the 64 table products in Python ints
+and divides once per coordinate, so products of integer octonions (the basis
+and every chain built from it) stay ints throughout.
+
 Basis order: 1, i, j, k, e, ie, je, ke (indices 0..7).  The table is built
 from the quaternion table plus the doubling rules
 
@@ -18,6 +23,7 @@ here too; the calibration catalog consumes them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "Octonion",
@@ -138,19 +144,33 @@ def _oracle_table():
 
 
 class Octonion:
-    """Octonion with exact Fraction coordinates in the basis 1,i,j,k,e,ie,je,ke."""
+    """Octonion with int or Fraction coordinates in the basis 1,i,j,k,e,ie,je,ke.
+
+    Products and inner products use one common denominator per factor (see
+    the module docstring).  An int and its Fraction twin compare and hash
+    equal, so an octonion equals its Fraction twin.
+    """
 
     __slots__ = ("co",)
 
     def __init__(self, coords):
-        co = tuple(Fraction(c) if not isinstance(c, float) else _reject(c) for c in coords)
+        co = tuple(_coord(c) for c in coords)
         if len(co) != 8:
             raise ValueError("need 8 coordinates")
         self.co = co
 
+    @classmethod
+    def _own(cls, co):
+        """A new octonion that owns ``co`` (8 int/Fraction coordinates) as is."""
+        x = object.__new__(cls)
+        x.co = co
+        return x
+
     @staticmethod
     def basis(i):
-        return Octonion(tuple(Fraction(int(m == i)) for m in range(8)))
+        if i not in range(8):
+            raise ValueError(f"basis index must be in 0..7, got {i!r}")
+        return Octonion._own(_UNITS[i])
 
     def __eq__(self, other):
         return isinstance(other, Octonion) and self.co == other.co
@@ -159,36 +179,48 @@ class Octonion:
         return hash(self.co)
 
     def __add__(self, other):
-        return Octonion(tuple(a + b for a, b in zip(self.co, other.co)))
+        if not isinstance(other, Octonion):
+            return NotImplemented
+        return Octonion._own(tuple(a + b for a, b in zip(self.co, other.co)))
 
     def __sub__(self, other):
-        return Octonion(tuple(a - b for a, b in zip(self.co, other.co)))
+        if not isinstance(other, Octonion):
+            return NotImplemented
+        return Octonion._own(tuple(a - b for a, b in zip(self.co, other.co)))
 
     def __neg__(self):
-        return Octonion(tuple(-a for a in self.co))
+        return Octonion._own(tuple(-a for a in self.co))
 
     def scale(self, s):
-        s = Fraction(s)
-        return Octonion(tuple(s * a for a in self.co))
+        s = _coord(s)
+        return Octonion._own(tuple(s * a for a in self.co))
 
     def __mul__(self, other):
+        if not isinstance(other, Octonion):
+            return NotImplemented
+        da, xa = _numerators(self.co)
+        db, xb = _numerators(other.co)
         # sparse double loop; basis products are single table lookups
-        out = [Fraction(0)] * 8
-        for a, ca in enumerate(self.co):
-            if not ca:
-                continue
-            for b, cb in enumerate(other.co):
-                if not cb:
-                    continue
-                s, c = MULT_TABLE[a][b]
-                out[c] += ca * cb if s > 0 else -ca * cb
-        return Octonion(tuple(out))
+        nzb = [(b, cb) for b, cb in enumerate(xb) if cb]
+        out = [0] * 8
+        for a, ca in enumerate(xa):
+            if ca:
+                row = MULT_TABLE[a]
+                for b, cb in nzb:
+                    s, c = row[b]
+                    out[c] += ca * cb if s > 0 else -ca * cb
+        d = da * db
+        return Octonion._own(tuple(out) if d == 1 else tuple(Fraction(v, d) for v in out))
 
     def conj(self):
-        return Octonion((self.co[0],) + tuple(-c for c in self.co[1:]))
+        return Octonion._own((self.co[0],) + tuple(-c for c in self.co[1:]))
 
     def inner(self, other):
-        return sum(a * b for a, b in zip(self.co, other.co))
+        da, xa = _numerators(self.co)
+        db, xb = _numerators(other.co)
+        v = sum(a * b for a, b in zip(xa, xb))
+        d = da * db
+        return v if d == 1 else Fraction(v, d)
 
     def norm_sq(self):
         return self.inner(self)
@@ -201,8 +233,26 @@ class Octonion:
         return "Octonion(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _reject(c):
-    raise TypeError("octonion coordinates must be exact (int/Fraction), not float")
+_UNITS = tuple(tuple(int(m == i) for m in range(8)) for i in range(8))
+
+
+def _coord(c):
+    """An exact coordinate: int and Fraction as they are, other exact numbers
+    as a Fraction.  Floats are refused."""
+    if type(c) is int or type(c) is Fraction:
+        return c
+    if isinstance(c, float):
+        raise TypeError("octonion coordinates must be exact (int/Fraction), not float")
+    return Fraction(c)
+
+
+def _numerators(co):
+    """(d, nums): d is the lcm of the coordinates' denominators and nums are
+    the int numerators over d."""
+    if all(type(c) is int for c in co):
+        return 1, co
+    d = lcm(*[c.denominator for c in co])
+    return d, [c.numerator * (d // c.denominator) for c in co]
 
 
 def chain_product(xs):

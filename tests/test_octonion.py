@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +10,7 @@ from calibench.octonion import (
     chain_product,
     conjugation_chain,
 )
-from calibench.octonion import _cd_from_coords, _cd_mul, _cd_to_coords
+from calibench.octonion import _cd_conj, _cd_from_coords, _cd_mul, _cd_to_coords
 
 UNITS = [Octonion.basis(i) for i in range(8)]
 ONE = UNITS[0]
@@ -42,6 +45,85 @@ def test_basis_and_float_rejection():
         Octonion((0.5,) * 8)
     with pytest.raises(ValueError):
         Octonion((1, 2, 3))
+
+
+def test_scale_refuses_floats():
+    with pytest.raises(TypeError, match="not float"):
+        UNITS[1].scale(0.1)
+    with pytest.raises(TypeError, match="not float"):
+        UNITS[1].scale(2.0)
+    assert UNITS[1].scale(Fraction(1, 10)).co[1] == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("i", [8, 9, -1, -8])
+def test_basis_index_out_of_range(i):
+    with pytest.raises(ValueError, match="0..7"):
+        Octonion.basis(i)
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), (1,) * 8])
+def test_arithmetic_with_a_non_octonion_is_a_type_error(other):
+    x = UNITS[1]
+    for op in (lambda: x + other, lambda: other + x, lambda: x - other, lambda: other - x,
+               lambda: x * other, lambda: other * x):
+        with pytest.raises(TypeError):
+            op()
+
+
+def _oracle_mul(x, y):
+    return tuple(_cd_to_coords(_cd_mul(_cd_from_coords(x.co), _cd_from_coords(y.co))))
+
+
+def _oracle_inner(x, y):
+    # <x, y> = Re(x conj(y)), on the pair-doubling route
+    return _cd_to_coords(_cd_mul(_cd_from_coords(x.co), _cd_conj(_cd_from_coords(y.co))))[0]
+
+
+def _seeded_pairs(seed, count, coord):
+    rng = random.Random(seed)
+    return [(Octonion([coord(rng) for _ in range(8)]), Octonion([coord(rng) for _ in range(8)]))
+            for _ in range(count)]
+
+
+def _mixed(rng):
+    # ints, Fractions with denominator 1, and Fractions over denominators 2..12
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-9, 9)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    return Fraction(rng.randint(-9, 9), rng.randint(2, 12))
+
+
+class TestCommonDenominator:
+    def test_product_and_inner_match_the_oracle_on_rational_pairs(self):
+        dens = set()
+        for x, y in _seeded_pairs(11, 300, _mixed):
+            dens.update(Fraction(c).denominator for c in x.co)
+            assert (x * y).co == _oracle_mul(x, y)
+            assert x.inner(y) == _oracle_inner(x, y)
+            assert x.norm_sq() == _oracle_inner(x, x)
+        assert len(dens) == 12
+
+    def test_product_and_inner_match_the_oracle_on_integer_pairs(self):
+        for x, y in _seeded_pairs(12, 300, lambda rng: rng.randint(-50, 50)):
+            assert (x * y).co == _oracle_mul(x, y)
+            assert x.inner(y) == _oracle_inner(x, y)
+
+    def test_integer_inputs_stay_int(self):
+        for x, y in _seeded_pairs(13, 50, lambda rng: rng.randint(-9, 9)):
+            for z in (x, x * y, x + y, x - y, -x, x.conj(), x.scale(3)):
+                assert all(type(c) is int for c in z.co)
+            assert type(x.norm_sq()) is int and type(x.inner(y)) is int
+        assert all(type(c) is int for c in (UNITS[3] * UNITS[5]).co)
+
+    def test_int_and_fraction_twins_are_equal_and_hash_equal(self):
+        for x, _y in _seeded_pairs(14, 50, lambda rng: rng.randint(-9, 9)):
+            twin = Octonion([Fraction(c) for c in x.co])
+            assert all(type(c) is Fraction for c in twin.co)
+            assert twin == x and hash(twin) == hash(x)
+            assert len({twin, x}) == 1
+        assert UNITS[2] == Octonion([Fraction(int(m == 2)) for m in range(8)])
 
 
 class TestAlgebraIdentities:
