@@ -438,6 +438,22 @@ def _chk_gradient(seed, rng=None):
     return _fmt(worst), "< 1e-06", 1e-6, worst < 1e-6
 
 
+def _chk_spinor_kernel(seed):
+    phi = cat.build_phi()
+    kernel = grassmann._search_kernel(phi)
+    rng = np.random.default_rng([seed, 28])
+    d_value = d_grad = 0.0
+    for _ in range(20):
+        M = grassmann._retract(rng.standard_normal((16, 8)))
+        f, state = kernel.value(M)
+        d_value = max(d_value, abs(f - forms.evaluate(phi, M)))
+        diff = grassmann._project(M, kernel.gradient(state) - grassmann.frame_gradient(phi, M))
+        d_grad = max(d_grad, float(np.abs(diff).max()))
+    ok = kernel.name == "clifford" and d_value <= 1e-12 and d_grad <= 1e-12
+    measured = f"{kernel.name} kernel: value {_fmt(d_value)}, projected gradient {_fmt(d_grad)}"
+    return measured, "clifford kernel: both <= 1e-12", 1e-12, ok
+
+
 def _chk_spinor_value_bound(seed):
     fam = cat.build_spinor_family()
     phi16 = fam["phi"]
@@ -528,6 +544,7 @@ _NUMERIC_CHECKS = (
     ("closed_form", "evaluation matches the trigonometric closed form on 50 seeded normal forms", _chk_closed_form),
     ("kaehler_roundtrip", "angle recovery returns the sine multiset on 25 seeded normal forms", _chk_kaehler_roundtrip),
     ("gradient_check", "analytic frame gradient matches central differences on 20 seeded pairs", _chk_gradient),
+    ("spinor_kernel", "the spinor kernel of the search matches evaluation and projected gradient on 20 seeded frames", _chk_spinor_kernel),
     ("spinor_value_bound", "the full spinor product stays below sqrt(2) on random even-grade frames", _chk_spinor_value_bound),
     ("comass_blade", "search on a unit coordinate blade returns 1", _chk_comass_blade),
     ("comass_phi", "reduced search on the calibration attains 1 with ratio at least 294", _chk_comass_phi),
@@ -669,7 +686,8 @@ def _cmd_comass(args):
     dt = time.perf_counter() - t0
     print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     stops = Counter(rec.stop for rec in rep.restart_records)
-    print(f"# {args.form}: best {rep.best_value:.12f} from restart {rep.best_restart} in {dt:.1f}s; "
+    print(f"# {args.form}: best {rep.best_value:.12f} from restart {rep.best_restart} in {dt:.1f}s "
+          f"on the {rep.kernel} kernel; "
           f"stops: tol {stops['tol']}, line_search {stops['line_search']}, cap {stops['cap']}",
           file=sys.stderr)
     if rep.best_value > entry.comass_expected + PLANE_TOL:

@@ -73,6 +73,57 @@ def _rep8_perm(i):
     return np.concatenate((8 + c, c)), np.concatenate((-conj_sign * sg, sg))
 
 
+# The 16x16 layout of a P16 spinor puts x[pinor_index(s, t, a, b)] at row
+# 8s + a and column 8t + b, so the first factor acts on the left and the
+# second on the right: generator i < 8 maps X to R_i X V and generator 8 + i
+# maps X to X R_i^T, with R_i the P8 matrix of e_i and V = diag(+1 x8, -1 x8)
+# the second factor's volume element.  This is not pinor_index's order.
+_VOL8 = np.repeat([1.0, -1.0], 8)
+
+
+def _spinor_matrix(x):
+    """The 16x16 layout of a length-256 spinor in pinor_index order."""
+    return np.asarray(x).reshape(2, 2, 8, 8).transpose(0, 2, 1, 3).reshape(16, 16)
+
+
+@functools.cache
+def _rep8_float():
+    """The P8 matrices R_i of the eight generators, flattened to a
+    read-only float [8, 256] array (row i is R_i row-major)."""
+    perms, signs = (np.array(a) for a in zip(*(_rep8_perm(i) for i in range(8))))
+    R = np.zeros((8, 16, 16))
+    R[np.arange(8)[:, None], perms, np.arange(16)] = signs
+    R = R.reshape(8, 256)
+    R.flags.writeable = False
+    return R
+
+
+def _rho_factors(U):
+    """For the columns u_j of a float 16 x k matrix: L[j] = R(u_j[:8]) and
+    Rt[j] = R(u_j[8:])^T, so that rho(u_j) X = L[j] X V + X Rt[j]."""
+    R = _rep8_float()
+    k = U.shape[1]
+    return (U[:8].T @ R).reshape(k, 16, 16), (U[8:].T @ R).reshape(k, 16, 16).transpose(0, 2, 1)
+
+
+def _rho_apply(L, Rt, X):
+    """rho(u) X in the 16x16 layout, from the factors of u."""
+    return L @ X * _VOL8 + X @ Rt
+
+
+def _rho_pairings(P, Q):
+    """[k, 16] array of <rho(e_i) P[j], Q[j]> for [k, 16, 16] stacks P and Q.
+
+    <R_i X V, Y> is the sum of R_i against Y V X^T, and <X R_i^T, Y> the sum
+    of R_i against Y^T X, so each half is one product with the flattened R_i.
+    """
+    R = _rep8_float()
+    k = len(P)
+    A = ((Q * _VOL8) @ P.transpose(0, 2, 1)).reshape(k, 256)
+    B = (Q.transpose(0, 2, 1) @ P).reshape(k, 256)
+    return np.concatenate((A @ R.T, B @ R.T), axis=1)
+
+
 def rep8_matrix(v):
     """16x16 matrix of the action of v in R^8 (octonion coordinates) on P8.
 

@@ -28,14 +28,17 @@ from itertools import combinations
 
 import numpy as np
 
+from calibench import clifford
 from calibench.catalog import (
     STANDARD16,
     RouteDisagreement,
     build_phi,
+    build_spinor_family,
     holomorphic_volume,
     kaehler_form,
+    spinor_pullback_matrix,
 )
-from calibench.forms import RealForm, _term_arrays, evaluate, wedge
+from calibench.forms import RealForm, _term_arrays, evaluate, pullback, wedge
 
 __all__ = [
     "NormalFormSpec",
@@ -501,11 +504,103 @@ def _retract(X):
     return Q * d
 
 
+class _DetKernel:
+    """The search kernel of any form: each term's k x k row slab of the
+    frame, its determinant, and the cofactor gradient.  The state of a value
+    is the pair (slabs, dets): a value costs one batched det, and a gradient
+    one batched inverse of the slabs the value already took."""
+
+    name = "det"
+
+    def __init__(self, form):
+        self.rows, self.coeffs = _term_arrays(form)
+        self.n = form.n
+
+    def value(self, M):
+        slabs, dets = _slabs(self.rows, M)
+        return float(self.coeffs @ dets), (slabs, dets)
+
+    def gradient(self, state):
+        return _gradient(self.rows, self.coeffs, *state, self.n)
+
+
+class _CliffordKernel:
+    """The search kernel of the grade-8 calibration, from its spinor form.
+
+    On an orthonormal frame with columns u_1..u_8,
+    Phi(u_1..u_8) = <rho(D u_1)...rho(D u_8) s, s + s'>, with D the
+    ``spinor_pullback_matrix``, s = ``S_PLUS`` and s' = ``S_PRIME``: the
+    spinor grade-8 part pulled back by D is Phi, and the Clifford product of
+    orthonormal vectors is their blade.  ``value`` applies the eight rho's
+    right to left on 16x16 spinor matrices and keeps the partial products
+    P_j = rho(D u_{j+1})...rho(D u_8) s as its state.  ``gradient`` runs the
+    backward products Q_j = rho(D u_{j-1})^T...rho(D u_1)^T (s + s'), using
+    rho^T = -rho, and pairs rho(e_i) P_j with Q_j for all sixteen
+    generators at once.  A value costs 16 matrix products of 16x16, a
+    gradient 14 more plus two batched ones.
+
+    This is the Euclidean gradient of the multilinear extension, which
+    differs from ``frame_gradient`` by M S with S symmetric; the projected
+    gradients the ascent reads agree.
+    """
+
+    name = "clifford"
+
+    def __init__(self):
+        self.D = spinor_pullback_matrix().astype(float)
+        self.s = clifford._spinor_matrix(clifford.spinor_vector(clifford.S_PLUS)).astype(float)
+        self.w = self.s + clifford._spinor_matrix(clifford.spinor_vector(clifford.S_PRIME))
+
+    def value(self, M):
+        L, Rt = clifford._rho_factors(self.D @ M)
+        P = np.empty((len(L), 16, 16))
+        X = self.s
+        for j in reversed(range(len(L))):
+            P[j] = X
+            X = clifford._rho_apply(L[j], Rt[j], X)
+        return float(np.vdot(self.w, X)), (L, Rt, P)
+
+    def gradient(self, state):
+        L, Rt, P = state
+        Q = np.empty_like(P)
+        Q[0] = self.w
+        for j in range(len(L) - 1):
+            Q[j + 1] = -clifford._rho_apply(L[j], Rt[j], Q[j])
+        return self.D.T @ clifford._rho_pairings(P, Q).T
+
+
+@functools.cache
+def _spinor_phi8():
+    """The spinor grade-8 part pulled back by ``spinor_pullback_matrix``:
+    the calibration, as the ``spinor_pullback`` check certifies."""
+    part = build_spinor_family()["phi"].grade_part(8)
+    return pullback(part, spinor_pullback_matrix())
+
+
+@functools.cache
+def _clifford_kernel():
+    return _CliffordKernel()
+
+
+def _search_kernel(form):
+    """The Clifford kernel when the form is term for term the pulled-back
+    spinor grade-8 part, the det kernel for every other form."""
+    if form.n == 16 and form.grade() == 8 and len(form) == 294 and form == _spinor_phi8():
+        return _clifford_kernel()
+    return _DetKernel(form)
+
+
+def _project(M, G):
+    """The projection G - M sym(M^T G) onto the tangent space at M."""
+    A = M.T @ G
+    return G - M @ ((A + A.T) / 2)
+
+
 _STEP_RANGE = (1e-6, 1e6)
 _STEP_FLOOR = 1e-14
 
 
-def _ascend(rows, coeffs, M, iters, tol):
+def _ascend(kernel, M, iters, tol):
     """Projected-gradient ascent from the orthonormal frame M with
     Barzilai-Borwein steps and a QR retraction.
 
@@ -513,23 +608,20 @@ def _ascend(rows, coeffs, M, iters, tol):
     length is the BB2 step (s.y)/(y.y), with s = M_t - M_{t-1} and
     y = Gt_{t-1} - Gt_t, clamped to _STEP_RANGE, or 1 on the first step and
     whenever s.y <= 0; it is halved until the monotone Armijo condition
-    f(M') >= f(M) + 1e-4 step |Gt|^2 holds.  The accepted trial's slabs and
-    determinants feed the next gradient, so a step costs one batched det and
-    one batched inverse.
+    f(M') >= f(M) + 1e-4 step |Gt|^2 holds.  `kernel` gives each trial's
+    value with a state, and the accepted trial's state feeds the next
+    gradient, so a step costs one gradient plus one value per trial (each
+    kernel's docstring gives those costs).
 
     Returns (value, frame, steps taken, stop reason): "tol" when |Gt| < tol,
     "line_search" when the step falls below _STEP_FLOOR without an accepted
     trial, "cap" after `iters` steps.  The value never decreases, so the
     final frame is the best one visited.
     """
-    n = M.shape[0]
-    slabs, dets = _slabs(rows, M)
-    f = float(coeffs @ dets)
+    f, state = kernel.value(M)
     M_prev = Gt_prev = None
     for t in range(iters):
-        G = _gradient(rows, coeffs, slabs, dets, n)
-        A = M.T @ G
-        Gt = G - M @ ((A + A.T) / 2)
+        Gt = _project(M, kernel.gradient(state))
         gn2 = float((Gt * Gt).sum())
         if math.sqrt(gn2) < tol:
             return f, M, t, "tol"
@@ -541,15 +633,14 @@ def _ascend(rows, coeffs, M, iters, tol):
                 step = min(max(sy / float((y * y).sum()), _STEP_RANGE[0]), _STEP_RANGE[1])
         while True:
             M2 = _retract(M + step * Gt)
-            slabs2, dets2 = _slabs(rows, M2)
-            f2 = float(coeffs @ dets2)
+            f2, state2 = kernel.value(M2)
             if f2 >= f + 1e-4 * step * gn2:
                 break
             step *= 0.5
             if step < _STEP_FLOOR:
                 return f, M, t, "line_search"
         M_prev, Gt_prev = M, Gt
-        M, f, slabs, dets = M2, f2, slabs2, dets2
+        M, f, state = M2, f2, state2
     return f, M, iters, "cap"
 
 
@@ -570,6 +661,7 @@ class ComassReport:
     best_restart: int
     best_frame: np.ndarray
     restart_records: tuple
+    kernel: str
     restarts: int
     iters: int
     tol: float
@@ -596,9 +688,17 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     retraction, for at most `iters` steps, stopping early when the projected
     gradient's norm drops below `tol` or the line search finds no ascent.
 
-    The report carries the best value, frame and restart (ties keep the
-    lowest index), one ``RestartRecord`` per restart, and the largest
-    absolute coefficient, which is the value of the form on its best
+    The kernel is chosen from the form alone.  The grade-8 calibration, term
+    for term, runs on ``_CliffordKernel`` (a product of sixteen 16x16
+    spinor matrices per value); every other form runs on ``_DetKernel``
+    (one batched det of its term slabs per value, one batched inverse per
+    gradient).  The two kernels' Euclidean gradients differ by M S with S
+    symmetric, which the projection removes, so only projected gradients
+    agree.
+
+    The report carries the kernel's name, the best value, frame and restart
+    (ties keep the lowest index), one ``RestartRecord`` per restart, and the
+    largest absolute coefficient, which is the value of the form on its best
     coordinate blade and so a lower bound of the comass.  For middle-degree
     forms it also carries the ratio of the wedge-square volume coefficient
     to the squared best value.
@@ -615,13 +715,13 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     if not tol >= 0:
         raise ValueError("comass search needs a tolerance >= 0")
     n = form.n
-    rows, coeffs = _term_arrays(form)
+    kernel = _search_kernel(form)
 
     best_f, best_M, best_r = -math.inf, None, -1
     records = []
     for r in range(restarts):
         M0 = _retract(np.random.default_rng([seed, r]).standard_normal((n, k)))
-        f, M, steps, stop = _ascend(rows, coeffs, M0, iters, tol)
+        f, M, steps, stop = _ascend(kernel, M0, iters, tol)
         records.append(RestartRecord(value=f, iterations=steps, stop=stop))
         if f > best_f:
             best_f, best_M, best_r = f, M, r
@@ -636,6 +736,7 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
         best_restart=best_r,
         best_frame=best_M,
         restart_records=tuple(records),
+        kernel=kernel.name,
         restarts=restarts,
         iters=iters,
         tol=tol,

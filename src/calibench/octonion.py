@@ -216,6 +216,8 @@ class Octonion:
         return Octonion._own((self.co[0],) + tuple(-c for c in self.co[1:]))
 
     def inner(self, other):
+        if not isinstance(other, Octonion):
+            raise TypeError(f"inner product needs an Octonion, not {type(other).__name__}")
         da, xa = _numerators(self.co)
         db, xb = _numerators(other.co)
         v = sum(a * b for a, b in zip(xa, xb))

@@ -91,4 +91,5 @@ def test_criterion_8_comass_search():
         "comass_phi": {"restarts": 200, "iters": 500},
         "comass_never_exceed": {"names": NEVER_EXCEED, "restarts": 40, "iters": 200},
         "gradient_check": {"rng": 2},
-    }, limit=120.0)
+        "spinor_kernel": {},
+    }, limit=50.0)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from calibench import catalog as cat
-from calibench import cli, forms, grassmann
+from calibench import cli, clifford, forms, grassmann
 from calibench.catalog import catalog
 from calibench.cli import (
     SCHEMA_VERSION,
@@ -71,6 +71,7 @@ SUITE_ALL = (
     ("closed_form", "evaluation matches the trigonometric closed form on 50 seeded normal forms"),
     ("kaehler_roundtrip", "angle recovery returns the sine multiset on 25 seeded normal forms"),
     ("gradient_check", "analytic frame gradient matches central differences on 20 seeded pairs"),
+    ("spinor_kernel", "the spinor kernel of the search matches evaluation and projected gradient on 20 seeded frames"),
     ("spinor_value_bound", "the full spinor product stays below sqrt(2) on random even-grade frames"),
     ("comass_blade", "search on a unit coordinate blade returns 1"),
     ("comass_phi", "reduced search on the calibration attains 1 with ratio at least 294"),
@@ -205,6 +206,9 @@ def test_comass_verb(capsys):
     assert len(doc["restart_records"]) == 4
     stops = re.search(r"stops: tol (\d+), line_search (\d+), cap (\d+)", captured.err)
     assert sum(map(int, stops.groups())) == 4
+    assert doc["kernel"] == "det" and " on the det kernel; " in captured.err
+    assert main(["comass", "--form", "phi", "--restarts", "1", "--iters", "0"]) == 0
+    assert " on the clifford kernel; " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -237,6 +241,19 @@ def test_comass_blade_needs_a_random_restart_at_1(monkeypatch):
     monkeypatch.setattr(grassmann, "comass_search", lambda form, **kw: search(form, **{**kw, "iters": 0}))
     measured, _expected, _tol, ok = cli._chk_comass_blade(0)
     assert measured.startswith("0.") and not ok
+
+
+@pytest.mark.parametrize("breakage", ["pair_with_s_alone", "drop_volume", "select_det"])
+def test_spinor_kernel_check_fails_on_a_broken_kernel(monkeypatch, breakage):
+    kernel = grassmann._search_kernel(cat.build_phi())
+    if breakage == "pair_with_s_alone":
+        monkeypatch.setattr(kernel, "w", kernel.s)
+    elif breakage == "drop_volume":
+        monkeypatch.setattr(clifford, "_VOL8", 1.0)
+    else:
+        monkeypatch.setattr(grassmann, "_search_kernel", grassmann._DetKernel)
+    measured, _expected, _tol, ok = cli._chk_spinor_kernel(0)
+    assert not ok, measured
 
 
 def test_broken_route_fails_its_check(monkeypatch):

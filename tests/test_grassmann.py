@@ -347,8 +347,8 @@ class TestComassSearch:
 
     def test_report_serializes(self):
         keys = {"form_name", "best_value", "best_restart", "best_frame",
-                "restart_records", "restarts", "iters", "tol", "seed", "plane_tol",
-                "max_abs_coeff"}
+                "restart_records", "kernel", "restarts", "iters", "tol", "seed",
+                "plane_tol", "max_abs_coeff"}
         for f, want in ((RealForm.blade(6, (1, 2)), keys),
                         (RealForm.blade(4, (1, 2)), keys | {"wirt_ratio"})):
             doc = comass_search(f, restarts=2, iters=10, seed=0).to_dict()
@@ -462,3 +462,45 @@ def test_frame_gradient_matches_finite_differences():
             Mm = M.copy(); Mm[i, j] -= h
             fd = (frame_value(f, Mp) - frame_value(f, Mm)) / (2 * h)
             assert abs(G[i, j] - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+class TestSearchKernels:
+    def test_kernels_agree_in_value_and_projected_gradient(self):
+        clif, det = grassmann._search_kernel(PHI), grassmann._DetKernel(PHI)
+        rng = np.random.default_rng(29)
+        widest = 0.0
+        for _ in range(10):
+            M = grassmann._retract(rng.standard_normal((16, 8)))
+            (fc, sc), (fd, sd) = clif.value(M), det.value(M)
+            assert abs(fc - fd) <= 1e-12
+            E = clif.gradient(sc) - det.gradient(sd)
+            assert np.abs(grassmann._project(M, E)).max() <= 1e-12
+            # the Euclidean gradients differ by M S with S symmetric
+            S = M.T @ E
+            assert np.abs(E - M @ S).max() <= 1e-12
+            assert np.abs(S - S.T).max() <= 1e-12
+            widest = max(widest, np.abs(S).max())
+        assert widest > 1e-2
+
+    def test_clifford_kernel_runs_on_phi_alone(self):
+        phi8 = catalog()["phi8_spinor"].form
+        flipped = dict(PHI.terms())
+        flipped[next(iter(flipped))] *= -1
+        others = (phi8, PHI * 2, RealForm(16, flipped), catalog()["cayley"].form)
+        assert grassmann._search_kernel(PHI).name == "clifford"
+        assert [grassmann._search_kernel(f).name for f in others] == ["det"] * 4
+        assert len(phi8) == len(RealForm(16, flipped)) == 294
+        assert comass_search(PHI, restarts=1, iters=0).kernel == "clifford"
+        assert comass_search(phi8, restarts=1, iters=0).kernel == "det"
+
+    def test_det_path_search_is_pinned(self):
+        # the value, step count and stop of each restart, as the search
+        # gave them before the kernel interface
+        rep = comass_search(catalog()["cayley"].form, restarts=4, iters=50, seed=0)
+        assert rep.kernel == "det"
+        assert [(r.value.hex(), r.iterations, r.stop) for r in rep.restart_records] == [
+            ("0x1.0000000000001p+0", 5, "tol"),
+            ("0x1.ffffffffffee0p-1", 5, "tol"),
+            ("0x1.ffffffffffb9fp-1", 4, "tol"),
+            ("0x1.ffffffffffe08p-1", 4, "tol"),
+        ]

@@ -65,7 +65,7 @@ def test_basis_index_out_of_range(i):
 def test_arithmetic_with_a_non_octonion_is_a_type_error(other):
     x = UNITS[1]
     for op in (lambda: x + other, lambda: other + x, lambda: x - other, lambda: other - x,
-               lambda: x * other, lambda: other * x):
+               lambda: x * other, lambda: other * x, lambda: x.inner(other)):
         with pytest.raises(TypeError):
             op()
 
