@@ -225,6 +225,24 @@ def _blade_tables():
     return X, Z, SIG
 
 
+@functools.cache
+def _projection_tables():
+    """(GATHER, BLADE, SIG): flat uint16 index tables over a 256x256 matrix,
+    since every flat index is below 2^16.  GATHER[256c + x] = 256 (c xor x) + c,
+    so A.ravel()[GATHER] is D transposed, row c and column x holding
+    A[c xor x, c].  BLADE[256 Z[m] + X[m]] = m names the blade read off each
+    entry of the transformed rows; (X, Z) takes every value once, because the
+    2^16 blades are linearly independent."""
+    X, Z, SIG = _blade_tables()
+    c = np.arange(DIM, dtype=np.uint16)
+    gather = ((c[:, None] ^ c[None, :]) << 8 | c[:, None]).ravel()
+    blade = np.empty(1 << 16, dtype=np.uint16)
+    blade[Z.astype(np.uint16) << 8 | X] = np.arange(1 << 16)
+    gather.flags.writeable = False
+    blade.flags.writeable = False
+    return gather, blade, SIG
+
+
 _BOUND = 1 << 55  # 256 * |entry| stays below 2^63
 
 
@@ -232,11 +250,14 @@ def endo_to_form(A):
     """Project a 256x256 endomorphism onto blade coordinates.
 
     Returns sum_I tr(rep16(I)^T A) / 256 E_I as an exact form on R^16.  With
-    blade m as (X, Z, SIG), tr(E_m^T A) = SIG[m] H[X[m], Z[m]], where H is the
-    rows of D[x, c] = A[c xor x, c] through the Walsh-Hadamard transform: one
-    256x256 gather plus an 8-stage integer butterfly.  Takes integer entries
-    with |a| < 2^55, so no sum leaves int64; raises TypeError on anything
-    inexact, to keep the exact lane honest, and ValueError beyond the bound.
+    blade m as (X, Z, SIG), tr(E_m^T A) = SIG[m] H[Z[m], X[m]], where H is the
+    Walsh-Hadamard transform along c of D[c, x] = A[c xor x, c]: one cached
+    flat gather, then an 8-stage integer butterfly run in place on the leading
+    axis, each stage on contiguous blocks of at least 256 entries.  Only the
+    nonzero entries of H are read, each named by its blade.  Takes
+    integer entries with |a| < 2^55, so no sum or intermediate leaves int64;
+    raises TypeError on anything inexact, to keep the exact lane honest, and
+    ValueError beyond the bound.
     """
     M = np.asarray(A)
     if M.shape != (DIM, DIM):
@@ -245,14 +266,20 @@ def endo_to_form(A):
         raise TypeError("endo_to_form needs an integer-valued matrix")
     if ((M >= _BOUND) | (M <= -_BOUND)).any():
         raise ValueError("endo_to_form needs entries with |a| < 2^55")
-    M2 = M.astype(np.int64)
+    M2 = M.astype(np.int64, copy=False)
     if M.dtype == object and not (M2.astype(object) == M).all():
         raise TypeError("endo_to_form needs an integer-valued matrix")
-    cols = np.arange(DIM)
-    H = M2[cols[:, None] ^ cols[None, :], cols[None, :]]  # D, transformed in place below
+    gather, blade, SIG = _projection_tables()
+    H = M2.ravel()[gather]
     for k in range(8):
-        H = H.reshape(DIM, -1, 2, 1 << k)
-        H = np.stack((H[:, :, 0] + H[:, :, 1], H[:, :, 0] - H[:, :, 1]), axis=2)
-    X, Z, SIG = _blade_tables()
-    sums = SIG * H.reshape(DIM, DIM)[X, Z]
-    return RealForm._own(16, {int(m): Fraction(int(sums[m]), 256) for m in np.nonzero(sums)[0]})
+        # c's bit k is the middle axis; (a, b) -> (a + b, a - b) in place
+        V = H.reshape(-1, 2, DIM << k)
+        a, b = V[:, 0], V[:, 1]
+        a += b
+        b *= -2
+        b += a
+    pos = np.flatnonzero(H)
+    m = blade[pos]
+    order = np.argsort(m, kind="stable")  # terms in increasing blade mask
+    pos, m = pos[order], m[order]
+    return RealForm._own(16, {k: Fraction(v, 256) for k, v in zip(m.tolist(), (SIG[m] * H[pos]).tolist())})

@@ -8,10 +8,15 @@ algebra codes.  Every coordinate plane is oriented by increasing index order;
 ``vol = E_{1..n}``.
 
 Exact operations (wedge, Hodge star, inner product, alternation, linear
-pullback) never touch floats.  ``evaluate`` is the one float entry point;
-the comass search kernel reuses its term arrays and determinant sum.  Those
-arrays are the form's float view: built from the Fractions once per form, on
-its first float use, and kept on the form.
+pullback) never touch floats.  ``wedge`` puts each operand over the lcm of
+its denominators, multiplies and sums in Python ints, and builds one Fraction
+per output term; the sign of a blade pair is one popcount against a
+prefix-XOR mask (``reorder_sign``), O(log n) shift-XORs per mask.
+
+``evaluate`` is the one float entry point; the comass search kernel reuses
+its term arrays and determinant sum.  Those arrays are the form's float view:
+built from the Fractions once per form, on its first float use, and kept on
+the form.
 """
 
 from __future__ import annotations
@@ -68,7 +73,9 @@ def blade_mask(indices):
 
 
 def mask_indices(mask):
-    """Increasing 1-based index tuple of a bitmask."""
+    """Increasing 1-based index tuple of a bitmask (a nonnegative int)."""
+    if mask < 0:
+        raise ValueError(f"blade mask must be nonnegative, got {mask}")
     out = []
     i = 1
     while mask:
@@ -79,18 +86,31 @@ def mask_indices(mask):
     return tuple(out)
 
 
+def _below_parity(mask_b, width):
+    """Mask whose bit i is the parity of the bits of ``mask_b`` below i, for
+    every i < ``width``: the prefix XOR of ``mask_b << 1``, by shift-XORs of
+    1, 2, 4, ... (six of them for width 64).  Bits at or above ``width`` are
+    not meaningful."""
+    p = mask_b << 1
+    s = 1
+    while s < width:
+        p ^= p << s
+        s <<= 1
+    return p
+
+
 def reorder_sign(mask_a, mask_b):
     """Sign of sorting the concatenation (A..., B...) into increasing order.
 
-    Counts transpositions: pairs (i in A, j in B) with i > j.  The masks must
-    be disjoint for a wedge, but the count itself never needs that.
+    The transpositions are the pairs (i in A, j in B) with i > j, so their
+    parity is the parity of popcount(A & P), where bit i of P is the parity
+    of B's bits below i (see ``_below_parity``).  The masks must be disjoint
+    for a wedge, but the count itself never needs that.  Negative masks are
+    refused.
     """
-    count = 0
-    a = mask_a >> 1
-    while a:
-        count += (a & mask_b).bit_count()
-        a >>= 1
-    return -1 if count & 1 else 1
+    if mask_a < 0 or mask_b < 0:
+        raise ValueError(f"blade masks must be nonnegative, got {mask_a}, {mask_b}")
+    return -1 if (mask_a & _below_parity(mask_b, mask_a.bit_length())).bit_count() & 1 else 1
 
 
 def perm_sign(perm):
@@ -252,25 +272,44 @@ class RealForm:
         return f"RealForm(n={self.n}, {' + '.join(bits)}{more})"
 
 
+def _numerators(terms):
+    """(d, [(mask, numerator)]): d is the lcm of the coefficients'
+    denominators and each numerator is its coefficient times d."""
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+
+
 def wedge(a, b):
-    """Exterior product.  Exact; distributes over mixed grades."""
+    """Exterior product.  Exact; distributes over mixed grades.
+
+    Each operand is put over the lcm of its denominators once, so the
+    products and sums run on Python ints and each surviving output term
+    becomes one Fraction at the end.  The sign of a term pair is
+    popcount(A & P) mod 2, with P = ``_below_parity`` of B, taken once per
+    term of ``b``.
+    """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch {a.n} != {b.n}")
+    da, xa = _numerators(a._terms)
+    db, xb = _numerators(b._terms)
+    xb = [(mb, _below_parity(mb, a.n), cb) for mb, cb in xb]
+    # a sum that reaches 0 leaves the dict and re-enters at the end, so the
+    # output keeps the storage order of a Fraction-by-Fraction accumulation
+    # (the float view sums in storage order)
     out = {}
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
+    for ma, ca in xa:
+        for mb, pb, cb in xb:
             if ma & mb:
                 continue
-            c = ca * cb
-            if reorder_sign(ma, mb) < 0:
-                c = -c
             m = ma | mb
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + (-ca * cb if (ma & pb).bit_count() & 1 else ca * cb)
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-    return RealForm._own(a.n, out)
+                del out[m]
+    d = da * db
+    return RealForm._own(a.n, {m: Fraction(v, d) for m, v in out.items()} if d != 1
+                         else {m: Fraction(v) for m, v in out.items()})
 
 
 def wedge_power(a, k):

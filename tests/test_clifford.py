@@ -167,6 +167,7 @@ def test_endo_to_form_matches_direct_trace():
     # oracle: tr(E_m^T A) / 256 summed over the composed signed permutation
     A = np.random.default_rng(29).integers(-1000, 1001, size=(DIM, DIM))
     f = endo_to_form(A)
+    assert list(f._terms) == sorted(f._terms)  # storage order is by blade mask
     cols = np.arange(DIM)
     for m in _probe_masks():
         perm, sign = clifford._blade_perm(mask_indices(m))
@@ -189,6 +190,16 @@ def test_blade_tables_rebuild_each_signed_permutation():
         parity = np.array([bin(int(Z[m]) & c).count("1") % 2 for c in range(DIM)])
         assert np.array_equal(perm, cols ^ int(X[m])), m
         assert np.array_equal(sign, int(SIG[m]) * (1 - 2 * parity)), m
+
+
+def test_projection_tables_are_permutations():
+    gather, blade, _ = clifford._projection_tables()
+    X, Z, _ = clifford._blade_tables()
+    everything = np.arange(1 << 16)
+    assert np.array_equal(np.sort(gather), everything)
+    assert np.array_equal(blade[256 * Z.astype(np.intp) + X], everything)
+    c, x = np.divmod(everything, DIM)
+    assert np.array_equal(gather, DIM * (c ^ x) + c)
 
 
 @pytest.mark.parametrize("case", ["swap", "sign"])
@@ -221,6 +232,24 @@ def test_endo_to_form_rejects_bad_input():
     with pytest.raises(ValueError, match=r"2\^55"):
         endo_to_form(huge)
     assert endo_to_form(2**54 * rep16((1, 2))) == 2**54 * RealForm.blade(16, (1, 2))
+
+
+@pytest.mark.parametrize("case", ["all_plus", "all_minus", "random_signs"])
+def test_endo_to_form_at_the_int64_edge(case):
+    # 256 * (2^55 - 1) is the largest sum the butterfly may form; stage 7
+    # doubles a partial sum of 128 entries, so a wrong stage leaves int64
+    top = 2**55 - 1
+    if case == "random_signs":
+        A = top * (1 - 2 * np.random.default_rng(37).integers(0, 2, size=(DIM, DIM)))
+    else:
+        A = np.full((DIM, DIM), top if case == "all_plus" else -top, dtype=np.int64)
+    f = endo_to_form(A)
+    blades = [(), tuple(range(1, 17)), (1,), (16,), (1, 2), (3, 7, 11), (2, 4, 6, 8, 10, 12, 14, 16),
+              tuple(range(1, 16)), (9, 10, 11, 12, 13, 14, 15, 16)]
+    Ao = A.astype(object)
+    for idx in blades:
+        want = Fraction(int((rep16(idx).astype(object) * Ao).sum()), 256)
+        assert f.coefficient(idx) == want, idx
 
 
 def test_pinor_index_enumerates_the_space():

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from calibench.catalog import build_phi
 from calibench.clifford import endo_to_form, rep16
 from calibench.forms import (
     ComplexForm,
@@ -75,6 +76,26 @@ class TestMasks:
         order = sorted(range(len(merged)), key=lambda i: merged[i])
         assert reorder_sign(ma, mb) == perm_sign(order)
 
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**64 - 1))
+    @example(1 << 63, 1)  # the one pair is 63 apart: only the shift-32 step reaches it
+    @example(1 << 63, (1 << 31) | 1)
+    @example(2**64 - 1, 2**64 - 1)
+    @settings(max_examples=300)
+    def test_reorder_sign_counts_pairs_on_64_bit_masks(self, ma, mb):
+        # brute force over all bit pairs, overlapping masks included (i == j is no inversion)
+        bits_a = [i for i in range(64) if ma >> i & 1]
+        bits_b = [j for j in range(64) if mb >> j & 1]
+        count = sum(i > j for i in bits_a for j in bits_b)
+        assert reorder_sign(ma, mb) == (-1 if count % 2 else 1)
+
+    def test_negative_masks_are_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mask_indices(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            reorder_sign(-1, 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            reorder_sign(3, -1)
+
     def test_perm_sign_on_transposition(self):
         assert perm_sign((0, 1, 2)) == 1
         assert perm_sign((1, 0, 2)) == -1
@@ -115,6 +136,64 @@ class TestWedge:
         for _ in range(k):
             expect = wedge(expect, a)
         assert wedge_power(a, k) == expect
+
+
+def _fraction_wedge(a, b):
+    """Reference wedge: one Fraction product per term pair, the sign by a
+    pair count, and a sum that reaches 0 leaving the dict."""
+    out = {}
+    for ma, ca in a._terms.items():
+        for mb, cb in b._terms.items():
+            if ma & mb:
+                continue
+            inversions = sum(i > j for i in mask_indices(ma) for j in mask_indices(mb))
+            c = -ca * cb if inversions % 2 else ca * cb
+            s = out.get(ma | mb, Fraction(0)) + c
+            if s:
+                out[ma | mb] = s
+            else:
+                del out[ma | mb]
+    return out
+
+
+def _mixed_form(rng, n_terms):
+    """Seeded R^16 form of mixed grades with denominators from a set whose lcm is 12,252,240."""
+    dens = (7, 9, 11, 13, 16, 17, 5, 1)
+    terms = {}
+    for _ in range(n_terms):
+        k = int(rng.integers(0, 7))
+        idx = tuple(int(i) + 1 for i in sorted(rng.choice(16, size=k, replace=False)))
+        terms[idx] = Fraction(int(rng.integers(-10**6, 10**6)) or 1, dens[int(rng.integers(0, len(dens)))])
+    return RealForm(16, terms)
+
+
+class TestIntWedge:
+    def test_matches_fraction_reference_in_value_and_order(self):
+        rng = np.random.default_rng(41)
+        for _ in range(12):
+            a, b = _mixed_form(rng, 40), _mixed_form(rng, 40)
+            lcm = math.lcm(*[c.denominator for c in a._terms.values()], *[c.denominator for c in b._terms.values()])
+            assert lcm >= 10**6
+            w = wedge(a, b)
+            assert list(w._terms.items()) == list(_fraction_wedge(a, b).items())
+            assert all(type(c) is Fraction and c for c in w._terms.values())
+
+    def test_cancelling_products_store_no_zero(self):
+        # E1 ^ E24 and E2 ^ E14 cancel on E124 (over denominators 3*7 and 7),
+        # then E4 ^ E12 puts it back, after E1 ^ E35 stored E135
+        a = RealForm(16, {(1,): Fraction(1, 3), (2,): Fraction(2, 7), (4,): Fraction(5, 11)})
+        b = RealForm(16, {(2, 4): Fraction(6, 7), (3, 5): 1, (1, 4): 1, (1, 2): Fraction(1, 13)})
+        w = wedge(a, b)
+        assert list(w._terms.items()) == list(_fraction_wedge(a, b).items())
+        assert list(w._terms) == [blade_mask(i) for i in ((1, 3, 5), (2, 3, 5), (3, 4, 5), (1, 2, 4))]
+        assert w.coefficient((1, 2, 4)) == Fraction(5, 143)
+        c = RealForm(16, {(1,): Fraction(1, 3), (2,): Fraction(2, 7)})
+        d = RealForm(16, {(2,): Fraction(6, 7), (1,): 1})
+        assert wedge(c, d).is_zero()
+
+    def test_phi_squared_is_294_vol_term_for_term(self):
+        phi = build_phi()
+        assert wedge(phi, phi)._terms == {(1 << 16) - 1: Fraction(294)}
 
 
 class TestHodge:
