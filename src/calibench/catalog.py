@@ -15,7 +15,8 @@ Builders return bare forms and compare their own routes:
   128 + 70 + 48 + 48 = 294 and all coefficients are +-1.
 * ``build_spinor_family``: the forms obtained by projecting rank-one spinor
   endomorphisms; cross-checked exactly against closed-form expressions and
-  the reversed-structure recipe ``build_phi(W16)``.
+  the reversed-structure recipe ``build_phi(W16)``.  ``spinor_pullback_phi``
+  pulls its grade-8 part back onto the axes of ``build_phi()``.
 * ``kaehler_power``, ``sigma_half_sq`` and ``holomorphic_volume``: the
   standard forms of a complex pairing.
 
@@ -39,6 +40,7 @@ from calibench.forms import (
     alternation,
     cwedge,
     inner_product,
+    pullback,
     wedge,
     wedge_power,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "phi_components",
     "build_spinor_family",
     "spinor_pullback_matrix",
+    "spinor_pullback_phi",
     "norm_table",
     "NORM_TABLE_EXPECTED",
     "catalog",
@@ -331,6 +334,14 @@ def build_spinor_family():
         raise RouteDisagreement("spinor grade-8 form does not match the reversed-structure recipe")
 
     return {"psi": psi, "psi_prime": psip, "phi": phi}
+
+
+@functools.cache
+def spinor_pullback_phi():
+    """The spinor grade-8 part pulled back by ``spinor_pullback_matrix``: the
+    calibration's spinor route, which the ``spinor_pullback`` check compares
+    with build_phi() and the comass search reads to pick its kernel."""
+    return pullback(build_spinor_family()["phi"].grade_part(8), spinor_pullback_matrix())
 
 
 NORM_TABLE_EXPECTED = {

@@ -15,7 +15,8 @@ angles (t1, t1, t2, t2), one calibrated 4-plane per C^4 factor.
 The module also carries the two exact Federer-style product routes for
 middle-degree forms, the 4x4 minor identities of the split frame rows, and a
 projected-gradient ascent over the Stiefel manifold used to certify comass
-lower bounds.
+lower bounds.  The ascent runs on the det kernel defined here, or on the
+calibration's spinor kernel ``clifford.CliffordKernel``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from calibench.catalog import (
     STANDARD16,
     RouteDisagreement,
     build_phi,
-    build_spinor_family,
     holomorphic_volume,
     kaehler_form,
     spinor_pullback_matrix,
+    spinor_pullback_phi,
 )
-from calibench.forms import RealForm, _term_arrays, evaluate, pullback, wedge
+from calibench.forms import RealForm, _term_arrays, evaluate, wedge
 
 __all__ = [
     "NormalFormSpec",
@@ -432,8 +433,8 @@ def federer_eval(form):
 
     Cost on Phi: 13,164 ``evaluate`` calls.  Each coordinate frame has n - k
     zero rows, so ``evaluate`` drops every term but at most one before its
-    dets, and the loop takes ~0.4 s (~25 us per call) instead of ~3 s on a
-    2-core Xeon.
+    dets, and the loop takes 0.4-0.6 s (30-45 us per call) instead of ~3 s
+    on one pinned CPU of a shared 2-core Xeon.
     """
     _middle_degree(form)
     frame = np.eye(form.n) / math.sqrt(2.0)
@@ -446,12 +447,6 @@ def federer_eval(form):
 def frame_value(form, M):
     """Value of the form on the columns of M (same as evaluate)."""
     return evaluate(form, M)
-
-
-def _slabs(rows, M):
-    """The k x k row slabs of M, one per term, and their determinants."""
-    slabs = M[rows, :]
-    return slabs, np.linalg.det(slabs)
 
 
 def _cofactor_batch(slabs, dets):
@@ -480,30 +475,6 @@ def _cofactor_batch(slabs, dets):
     return out
 
 
-def _gradient(rows, coeffs, slabs, dets, n):
-    """Cofactor sums scattered onto an n x k gradient: entry (rows[t, a], b)
-    collects coeffs[t] * cof[t, a, b], summed in term order by one bincount
-    over the flat indices row * k + col."""
-    k = rows.shape[1]
-    flat = (rows[:, :, None] * k + np.arange(k)).ravel()
-    weights = (coeffs[:, None, None] * _cofactor_batch(slabs, dets)).ravel()
-    return np.bincount(flat, weights=weights, minlength=n * k).reshape(n, k)
-
-
-def frame_gradient(form, M):
-    """Euclidean gradient of M -> form(columns of M): per-entry cofactor sums,
-    over the form's float view, which is built once per form."""
-    rows, coeffs = _term_arrays(form)
-    return _gradient(rows, coeffs, *_slabs(rows, M), M.shape[0])
-
-
-def _retract(X):
-    Q, R = np.linalg.qr(X)
-    d = np.sign(np.diag(R))
-    d[d == 0] = 1.0
-    return Q * d
-
-
 class _DetKernel:
     """The search kernel of any form: each term's k x k row slab of the
     frame, its determinant, and the cofactor gradient.  The state of a value
@@ -517,75 +488,45 @@ class _DetKernel:
         self.n = form.n
 
     def value(self, M):
-        slabs, dets = _slabs(self.rows, M)
+        slabs = M[self.rows, :]
+        dets = np.linalg.det(slabs)
         return float(self.coeffs @ dets), (slabs, dets)
 
     def gradient(self, state):
-        return _gradient(self.rows, self.coeffs, *state, self.n)
+        """Cofactor sums scattered onto an n x k gradient: entry
+        (rows[t, a], b) collects coeffs[t] * cof[t, a, b], summed in term
+        order by one bincount over the flat indices row * k + col."""
+        slabs, dets = state
+        k = self.rows.shape[1]
+        flat = (self.rows[:, :, None] * k + np.arange(k)).ravel()
+        weights = (self.coeffs[:, None, None] * _cofactor_batch(slabs, dets)).ravel()
+        return np.bincount(flat, weights=weights, minlength=self.n * k).reshape(self.n, k)
 
 
-class _CliffordKernel:
-    """The search kernel of the grade-8 calibration, from its spinor form.
-
-    On an orthonormal frame with columns u_1..u_8,
-    Phi(u_1..u_8) = <rho(D u_1)...rho(D u_8) s, s + s'>, with D the
-    ``spinor_pullback_matrix``, s = ``S_PLUS`` and s' = ``S_PRIME``: the
-    spinor grade-8 part pulled back by D is Phi, and the Clifford product of
-    orthonormal vectors is their blade.  ``value`` applies the eight rho's
-    right to left on 16x16 spinor matrices and keeps the partial products
-    P_j = rho(D u_{j+1})...rho(D u_8) s as its state.  ``gradient`` runs the
-    backward products Q_j = rho(D u_{j-1})^T...rho(D u_1)^T (s + s'), using
-    rho^T = -rho, and pairs rho(e_i) P_j with Q_j for all sixteen
-    generators at once.  A value costs 16 matrix products of 16x16, a
-    gradient 14 more plus two batched ones.
-
-    This is the Euclidean gradient of the multilinear extension, which
-    differs from ``frame_gradient`` by M S with S symmetric; the projected
-    gradients the ascent reads agree.
-    """
-
-    name = "clifford"
-
-    def __init__(self):
-        self.D = spinor_pullback_matrix().astype(float)
-        self.s = clifford._spinor_matrix(clifford.spinor_vector(clifford.S_PLUS)).astype(float)
-        self.w = self.s + clifford._spinor_matrix(clifford.spinor_vector(clifford.S_PRIME))
-
-    def value(self, M):
-        L, Rt = clifford._rho_factors(self.D @ M)
-        P = np.empty((len(L), 16, 16))
-        X = self.s
-        for j in reversed(range(len(L))):
-            P[j] = X
-            X = clifford._rho_apply(L[j], Rt[j], X)
-        return float(np.vdot(self.w, X)), (L, Rt, P)
-
-    def gradient(self, state):
-        L, Rt, P = state
-        Q = np.empty_like(P)
-        Q[0] = self.w
-        for j in range(len(L) - 1):
-            Q[j + 1] = -clifford._rho_apply(L[j], Rt[j], Q[j])
-        return self.D.T @ clifford._rho_pairings(P, Q).T
+def frame_gradient(form, M):
+    """Euclidean gradient of M -> form(columns of M): the det kernel's
+    per-entry cofactor sums, over the form's float view, which is built once
+    per form."""
+    kernel = _DetKernel(form)
+    return kernel.gradient(kernel.value(M)[1])
 
 
-@functools.cache
-def _spinor_phi8():
-    """The spinor grade-8 part pulled back by ``spinor_pullback_matrix``:
-    the calibration, as the ``spinor_pullback`` check certifies."""
-    part = build_spinor_family()["phi"].grade_part(8)
-    return pullback(part, spinor_pullback_matrix())
+def _retract(X):
+    Q, R = np.linalg.qr(X)
+    d = np.sign(np.diag(R))
+    d[d == 0] = 1.0
+    return Q * d
 
 
 @functools.cache
 def _clifford_kernel():
-    return _CliffordKernel()
+    return clifford.CliffordKernel(spinor_pullback_matrix())
 
 
 def _search_kernel(form):
     """The Clifford kernel when the form is term for term the pulled-back
     spinor grade-8 part, the det kernel for every other form."""
-    if form.n == 16 and form.grade() == 8 and len(form) == 294 and form == _spinor_phi8():
+    if form.n == 16 and form.grade() == 8 and len(form) == 294 and form == spinor_pullback_phi():
         return _clifford_kernel()
     return _DetKernel(form)
 
@@ -688,9 +629,11 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     retraction, for at most `iters` steps, stopping early when the projected
     gradient's norm drops below `tol` or the line search finds no ascent.
 
-    The kernel is chosen from the form alone.  The grade-8 calibration, term
-    for term, runs on ``_CliffordKernel`` (a product of sixteen 16x16
-    spinor matrices per value); every other form runs on ``_DetKernel``
+    The kernel is chosen from the form alone.  A form equal term for term to
+    ``catalog.spinor_pullback_phi()``, the grade-8 calibration, runs on
+    ``clifford.CliffordKernel`` built from ``spinor_pullback_matrix()`` (a
+    product of sixteen 16x16 spinor matrices per value); every other form
+    runs on ``_DetKernel``
     (one batched det of its term slabs per value, one batched inverse per
     gradient).  The two kernels' Euclidean gradients differ by M S with S
     symmetric, which the projection removes, so only projected gradients

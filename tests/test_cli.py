@@ -362,6 +362,17 @@ def test_tables_verb(capsys):
     assert len([l for l in text.splitlines() if l.strip() and l.split()[0].isdigit()]) == 9
 
 
+def test_tables_ratio_is_computed(monkeypatch, capsys):
+    # the exact ratio line reads the wedge square of whatever build_phi
+    # gives; the spinor family is built first, so it still compares with the
+    # real build_phi
+    phi = cat.build_phi()
+    cat.build_spinor_family()
+    monkeypatch.setattr(cat, "build_phi", lambda: phi * 2)
+    assert main(["tables"]) == 0
+    assert "  ratio_8 >= 1176, from the grade-8 calibration on R^16  [computed_exact]\n" in capsys.readouterr().out
+
+
 def test_fmt_is_repr_faithful():
     assert float(_fmt(0.1)) == 0.1
     assert float(_fmt(1.0 - 1e-9)) == 1.0 - 1e-9

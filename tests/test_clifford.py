@@ -282,22 +282,24 @@ def test_spinor_matrix_is_the_kron_layout():
 def test_rho_factorisation_matches_each_generator():
     # rho(e_i) X = R(e_i[:8]) X V + X R(e_i[8:])^T equals the signed
     # permutation of generator i on seeded spinors, exactly
+    kernel = clifford.CliffordKernel(np.eye(16))
     rng = np.random.default_rng(5)
     xs = rng.standard_normal((3, DIM))
     for i, (perm, sign) in enumerate(clifford._GENS):
-        L, Rt = clifford._rho_factors(np.eye(16)[:, [i]])
+        L, Rt = kernel._factors(np.eye(16)[:, [i]])
         for x in xs:
             got = clifford._rho_apply(L[0], Rt[0], clifford._spinor_matrix(x))
             assert np.array_equal(got, clifford._spinor_matrix(_signed_perm_apply(perm, sign, x)))
 
 
 def test_rho_pairings_pair_each_generator():
+    kernel = clifford.CliffordKernel(np.eye(16))
     rng = np.random.default_rng(6)
     P, Q = rng.standard_normal((2, 3, 16, 16))
-    got = clifford._rho_pairings(P, Q)
+    got = kernel._pairings(P, Q)
     assert got.shape == (3, 16)
     for i in range(16):
-        L, Rt = clifford._rho_factors(np.eye(16)[:, [i]])
+        L, Rt = kernel._factors(np.eye(16)[:, [i]])
         for j in range(3):
             want = float((clifford._rho_apply(L[0], Rt[0], P[j]) * Q[j]).sum())
             assert abs(got[j, i] - want) <= 1e-12

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calibench import forms, grassmann
+from calibench import clifford, forms, grassmann
 from calibench.catalog import RouteDisagreement, build_phi, catalog
 from calibench.cli import _NEVER_EXCEED_SUITE
 from calibench.forms import RealForm, blade_mask, pullback, reorder_sign, wedge
@@ -482,6 +482,19 @@ class TestSearchKernels:
             widest = max(widest, np.abs(S).max())
         assert widest > 1e-2
 
+    def test_clifford_kernel_takes_its_sign_matrix(self):
+        # with D = I the kernel evaluates the spinor grade-8 part itself,
+        # which the search still runs on the det kernel
+        phi8 = catalog()["phi8_spinor"].form
+        kernel = clifford.CliffordKernel(np.eye(16))
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            M = grassmann._retract(rng.standard_normal((16, 8)))
+            f, state = kernel.value(M)
+            assert abs(f - forms.evaluate(phi8, M)) <= 1e-12
+            E = kernel.gradient(state) - frame_gradient(phi8, M)
+            assert np.abs(grassmann._project(M, E)).max() <= 1e-12
+
     def test_clifford_kernel_runs_on_phi_alone(self):
         phi8 = catalog()["phi8_spinor"].form
         flipped = dict(PHI.terms())
@@ -503,4 +516,16 @@ class TestSearchKernels:
             ("0x1.ffffffffffee0p-1", 5, "tol"),
             ("0x1.ffffffffffb9fp-1", 4, "tol"),
             ("0x1.ffffffffffe08p-1", 4, "tol"),
+        ]
+
+    def test_spinor_path_search_is_pinned(self):
+        # the value, step count and stop of each restart, as the search gave
+        # them while the spinor kernel lived in grassmann
+        rep = comass_search(PHI, restarts=4, iters=300, seed=0)
+        assert rep.kernel == "clifford"
+        assert [(r.value.hex(), r.iterations, r.stop) for r in rep.restart_records] == [
+            ("0x1.fffffffffdff1p-1", 34, "tol"),
+            ("0x1.fffffffffffdep-1", 24, "tol"),
+            ("0x1.ffffffffff7fap-1", 31, "tol"),
+            ("0x1.ffffffffffe88p-1", 23, "tol"),
         ]
