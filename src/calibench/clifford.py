@@ -123,10 +123,7 @@ class CliffordKernel:
         self.s = _spinor_matrix(spinor_vector(S_PLUS)).astype(float)
         self.w = self.s + _spinor_matrix(spinor_vector(S_PRIME))
         # row i is the P8 matrix R_i of generator i, row-major
-        perms, signs = (np.array(a) for a in zip(*(_rep8_perm(i) for i in range(8))))
-        R = np.zeros((8, 16, 16))
-        R[np.arange(8)[:, None], perms, np.arange(16)] = signs
-        self.R = R.reshape(8, 256)
+        self.R = np.array([rep8_matrix(e) for e in np.eye(8, dtype=int)], dtype=float).reshape(8, 256)
 
     def _factors(self, U):
         """For the columns u_j of a float 16 x k matrix: L[j] = R(u_j[:8]) and

@@ -13,10 +13,10 @@ its denominators, multiplies and sums in Python ints, and builds one Fraction
 per output term; the sign of a blade pair is one popcount against a
 prefix-XOR mask (``reorder_sign``), O(log n) shift-XORs per mask.
 
-``evaluate`` is the one float entry point; the comass search kernel reuses
-its term arrays and determinant sum.  Those arrays are the form's float view:
-built from the Fractions once per form, on its first float use, and kept on
-the form.
+``DetKernel`` is a form's float view, built from the Fractions on its first
+float use and kept on the form.  Its determinant sum is the one float
+evaluation of a form: ``evaluate``, ``grassmann.frame_gradient`` and the
+det-path comass search all read the same object.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "hodge_star",
     "inner_product",
     "evaluate",
+    "DetKernel",
     "alternation",
     "pullback",
     "form_to_dict",
@@ -66,6 +67,8 @@ def blade_mask(indices):
     prev = 0
     for i in indices:
         if i <= prev:
+            if i < 1:
+                raise ValueError(f"blade indices are 1-based, got {tuple(indices)}")
             raise ValueError(f"blade indices must be strictly increasing, got {tuple(indices)}")
         mask |= 1 << (i - 1)
         prev = i
@@ -140,7 +143,7 @@ class RealForm:
 
     A form's terms never change after construction: only ``__init__`` and
     ``_own`` set ``_terms``, and each does so on a new object.  The float view
-    (see ``_term_arrays``) and the cached grade list rely on this.
+    (``DetKernel.of``) and the cached grade list rely on this.
     """
 
     __slots__ = ("n", "_terms", "_float_view", "_grades")
@@ -355,28 +358,77 @@ def inner_product(a, b):
 # float evaluation ----------------------------------------------------------
 
 
-def _term_arrays(a):
-    """0-based row indices and float coefficients of a's terms, in storage
-    order: the float view shared by ``evaluate`` and the search kernel.
+def _cofactor_batch(slabs, dets):
+    """d det(A)/dA for a [T,k,k] batch with determinants `dets`: det(A) A^{-T},
+    SVD fallback near singularity (adjugate via products of singular values,
+    no division)."""
+    k = slabs.shape[1]
+    scale = np.abs(slabs).max(axis=(1, 2)) + 1e-300
+    good = np.abs(dets) > 1e-8 * scale**k
+    if good.all():
+        return dets[:, None, None] * np.swapaxes(np.linalg.inv(slabs), 1, 2)
+    out = np.empty_like(slabs)
+    if good.any():
+        inv_t = np.swapaxes(np.linalg.inv(slabs[good]), 1, 2)
+        out[good] = dets[good][:, None, None] * inv_t
+    bad = ~good
+    U, s, Vt = np.linalg.svd(slabs[bad])
+    pref = np.cumprod(
+        np.concatenate([np.ones((s.shape[0], 1)), s[:, :-1]], axis=1), axis=1
+    )
+    suf = np.cumprod(
+        np.concatenate([np.ones((s.shape[0], 1)), s[:, :0:-1]], axis=1), axis=1
+    )[:, ::-1]
+    orient = np.linalg.det(U @ Vt)
+    out[bad] = orient[:, None, None] * (U * (pref * suf)[:, None, :]) @ Vt
+    return out
 
-    Built on first use and kept on the form, read-only, since its terms
-    never change.
-    """
-    if a._float_view is None:
-        rows = np.array([[i - 1 for i in mask_indices(m)] for m in a._terms], dtype=np.intp)
-        coeffs = np.array([float(c) for c in a._terms.values()])
-        rows.flags.writeable = False
-        coeffs.flags.writeable = False
-        a._float_view = rows, coeffs
-    return a._float_view
+
+class DetKernel:
+    """A homogeneous form's float view: the 0-based ``rows`` [T, k] and float
+    ``coeffs`` [T] of its terms in storage order, read-only, built once per
+    form by ``of``.  ``value`` is sum_t coeffs[t] det(rows t of M), one
+    batched det; its state (slabs, dets) gives ``gradient`` the cofactor
+    sums at one batched inverse of the same slabs."""
+
+    name = "det"
+
+    def __init__(self, form):
+        self.rows = np.array([[i - 1 for i in mask_indices(m)] for m in form._terms], dtype=np.intp)
+        self.coeffs = np.array([float(c) for c in form._terms.values()])
+        self.rows.flags.writeable = False
+        self.coeffs.flags.writeable = False
+        self.n = form.n
+
+    @classmethod
+    def of(cls, form):
+        """The form's kernel, built on its first float use."""
+        if form._float_view is None:
+            form._float_view = cls(form)
+        return form._float_view
+
+    def value(self, M):
+        slabs = M[self.rows, :]
+        dets = np.linalg.det(slabs)
+        return float(self.coeffs @ dets), (slabs, dets)
+
+    def gradient(self, state):
+        """Cofactor sums scattered onto an n x k gradient: entry
+        (rows[t, a], b) collects coeffs[t] * cof[t, a, b], summed in term
+        order by one bincount over the flat indices row * k + col."""
+        slabs, dets = state
+        k = self.rows.shape[1]
+        flat = (self.rows[:, :, None] * k + np.arange(k)).ravel()
+        weights = (self.coeffs[:, None, None] * _cofactor_batch(slabs, dets)).ravel()
+        return np.bincount(flat, weights=weights, minlength=self.n * k).reshape(self.n, k)
 
 
 def evaluate(a, vectors):
     """Evaluate a homogeneous k-form on k column vectors (float).
 
     ``vectors`` is an (n, k) array; columns are the arguments.  The value is
-    sum_I c_I det(rows I of vectors), by batched LU (numpy det), over the
-    form's float view, which is built once per form.  Raises on grade/shape
+    sum_I c_I det(rows I of vectors), the ``DetKernel`` value of the form's
+    float view, which is built once per form.  Raises on grade/shape
     mismatch and on complex or non-finite input.
 
     Terms whose row set meets an all-zero row of ``vectors`` are dropped
@@ -384,7 +436,7 @@ def evaluate(a, vectors):
     zero row exactly zero (its multipliers are 0 and the entries finite), so
     its slab's det is exactly 0 and the term adds c * (+-0.0) to the sum.  On
     a coordinate frame at most one term survives, so the value is that one
-    product, bit for bit; frames with no zero row take the full batch.
+    product, bit for bit; other frames take the kernel's full batch.
     """
     M = np.asarray(vectors)
     if np.iscomplexobj(M):
@@ -406,12 +458,12 @@ def evaluate(a, vectors):
         raise ValueError(f"form has grade {g}, got {k} vectors")
     if k == 0:
         return float(a.coefficient(()))
-    rows, coeffs = _term_arrays(a)
+    kernel = DetKernel.of(a)
     zero = ~M.any(axis=1)
-    if zero.any():
-        keep = ~zero[rows].any(axis=1)
-        rows, coeffs = rows[keep], coeffs[keep]
-    return float(coeffs @ np.linalg.det(M[rows, :]))
+    if not zero.any():
+        return kernel.value(M)[0]
+    keep = ~zero[kernel.rows].any(axis=1)
+    return float(kernel.coeffs[keep] @ np.linalg.det(M[kernel.rows[keep], :]))
 
 
 def alternation(T, k, n):

@@ -15,8 +15,8 @@ angles (t1, t1, t2, t2), one calibrated 4-plane per C^4 factor.
 The module also carries the two exact Federer-style product routes for
 middle-degree forms, the 4x4 minor identities of the split frame rows, and a
 projected-gradient ascent over the Stiefel manifold used to certify comass
-lower bounds.  The ascent runs on the det kernel defined here, or on the
-calibration's spinor kernel ``clifford.CliffordKernel``.
+lower bounds.  The ascent runs on the form's float view ``forms.DetKernel``,
+or on the calibration's spinor kernel ``clifford.CliffordKernel``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from calibench.catalog import (
     spinor_pullback_matrix,
     spinor_pullback_phi,
 )
-from calibench.forms import RealForm, _term_arrays, evaluate, wedge
+from calibench.forms import DetKernel, RealForm, evaluate, wedge
 
 __all__ = [
     "NormalFormSpec",
@@ -449,65 +449,10 @@ def frame_value(form, M):
     return evaluate(form, M)
 
 
-def _cofactor_batch(slabs, dets):
-    """d det(A)/dA for a [T,k,k] batch with determinants `dets`: det(A) A^{-T},
-    SVD fallback near singularity (adjugate via products of singular values,
-    no division)."""
-    k = slabs.shape[1]
-    scale = np.abs(slabs).max(axis=(1, 2)) + 1e-300
-    good = np.abs(dets) > 1e-8 * scale**k
-    if good.all():
-        return dets[:, None, None] * np.swapaxes(np.linalg.inv(slabs), 1, 2)
-    out = np.empty_like(slabs)
-    if good.any():
-        inv_t = np.swapaxes(np.linalg.inv(slabs[good]), 1, 2)
-        out[good] = dets[good][:, None, None] * inv_t
-    bad = ~good
-    U, s, Vt = np.linalg.svd(slabs[bad])
-    pref = np.cumprod(
-        np.concatenate([np.ones((s.shape[0], 1)), s[:, :-1]], axis=1), axis=1
-    )
-    suf = np.cumprod(
-        np.concatenate([np.ones((s.shape[0], 1)), s[:, :0:-1]], axis=1), axis=1
-    )[:, ::-1]
-    orient = np.linalg.det(U @ Vt)
-    out[bad] = orient[:, None, None] * (U * (pref * suf)[:, None, :]) @ Vt
-    return out
-
-
-class _DetKernel:
-    """The search kernel of any form: each term's k x k row slab of the
-    frame, its determinant, and the cofactor gradient.  The state of a value
-    is the pair (slabs, dets): a value costs one batched det, and a gradient
-    one batched inverse of the slabs the value already took."""
-
-    name = "det"
-
-    def __init__(self, form):
-        self.rows, self.coeffs = _term_arrays(form)
-        self.n = form.n
-
-    def value(self, M):
-        slabs = M[self.rows, :]
-        dets = np.linalg.det(slabs)
-        return float(self.coeffs @ dets), (slabs, dets)
-
-    def gradient(self, state):
-        """Cofactor sums scattered onto an n x k gradient: entry
-        (rows[t, a], b) collects coeffs[t] * cof[t, a, b], summed in term
-        order by one bincount over the flat indices row * k + col."""
-        slabs, dets = state
-        k = self.rows.shape[1]
-        flat = (self.rows[:, :, None] * k + np.arange(k)).ravel()
-        weights = (self.coeffs[:, None, None] * _cofactor_batch(slabs, dets)).ravel()
-        return np.bincount(flat, weights=weights, minlength=self.n * k).reshape(self.n, k)
-
-
 def frame_gradient(form, M):
-    """Euclidean gradient of M -> form(columns of M): the det kernel's
-    per-entry cofactor sums, over the form's float view, which is built once
-    per form."""
-    kernel = _DetKernel(form)
+    """Euclidean gradient of M -> form(columns of M): the per-entry cofactor
+    sums of the form's ``DetKernel``, which is built once per form."""
+    kernel = DetKernel.of(form)
     return kernel.gradient(kernel.value(M)[1])
 
 
@@ -525,10 +470,10 @@ def _clifford_kernel():
 
 def _search_kernel(form):
     """The Clifford kernel when the form is term for term the pulled-back
-    spinor grade-8 part, the det kernel for every other form."""
+    spinor grade-8 part, the form's ``DetKernel`` for every other form."""
     if form.n == 16 and form.grade() == 8 and len(form) == 294 and form == spinor_pullback_phi():
         return _clifford_kernel()
-    return _DetKernel(form)
+    return DetKernel.of(form)
 
 
 def _project(M, G):
@@ -633,11 +578,10 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     ``catalog.spinor_pullback_phi()``, the grade-8 calibration, runs on
     ``clifford.CliffordKernel`` built from ``spinor_pullback_matrix()`` (a
     product of sixteen 16x16 spinor matrices per value); every other form
-    runs on ``_DetKernel``
-    (one batched det of its term slabs per value, one batched inverse per
-    gradient).  The two kernels' Euclidean gradients differ by M S with S
-    symmetric, which the projection removes, so only projected gradients
-    agree.
+    runs on its ``forms.DetKernel`` (one batched det of its term slabs per
+    value, one batched inverse per gradient).  The two kernels' Euclidean
+    gradients differ by M S with S symmetric, which the projection removes,
+    so only projected gradients agree.
 
     The report carries the kernel's name, the best value, frame and restart
     (ties keep the lowest index), one ``RestartRecord`` per restart, and the

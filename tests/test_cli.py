@@ -251,7 +251,7 @@ def test_spinor_kernel_check_fails_on_a_broken_kernel(monkeypatch, breakage):
     elif breakage == "drop_volume":
         monkeypatch.setattr(clifford, "_VOL8", 1.0)
     else:
-        monkeypatch.setattr(grassmann, "_search_kernel", grassmann._DetKernel)
+        monkeypatch.setattr(grassmann, "_search_kernel", forms.DetKernel.of)
     measured, _expected, _tol, ok = cli._chk_spinor_kernel(0)
     assert not ok, measured
 
@@ -371,6 +371,16 @@ def test_tables_ratio_is_computed(monkeypatch, capsys):
     monkeypatch.setattr(cat, "build_phi", lambda: phi * 2)
     assert main(["tables"]) == 0
     assert "  ratio_8 >= 1176, from the grade-8 calibration on R^16  [computed_exact]\n" in capsys.readouterr().out
+
+
+def test_tables_search_ratio_is_the_search_result(capsys):
+    # the computed_search line is fixed text; the seed-0 comass_phi search
+    # must attain the ratio it prints
+    assert main(["tables"]) == 0
+    printed = re.search(r"search-attained ratio for the calibration: (\d+)  \[computed_search\]",
+                        capsys.readouterr().out)
+    rep = grassmann.comass_search(cat.build_phi(), restarts=20, iters=300, seed=0)
+    assert round(rep.wirt_ratio) == int(printed.group(1))
 
 
 def test_fmt_is_repr_faithful():

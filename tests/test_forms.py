@@ -11,9 +11,9 @@ from calibench.catalog import build_phi
 from calibench.clifford import endo_to_form, rep16
 from calibench.forms import (
     ComplexForm,
+    DetKernel,
     RealForm,
     SchemaError,
-    _term_arrays,
     alternation,
     blade_mask,
     cwedge,
@@ -67,6 +67,16 @@ class TestMasks:
             blade_mask((1, 1))
         with pytest.raises(ValueError):
             blade_mask((0, 1))
+
+    def test_indices_below_1_are_named_1_based(self):
+        # a one-element tuple is always increasing; the fault is the index
+        for bad in ((-3,), (0,), (0, 2), (2, 0)):
+            with pytest.raises(ValueError, match=r"blade indices are 1-based, got \("):
+                blade_mask(bad)
+        with pytest.raises(ValueError, match=r"blade indices are 1-based, got \(0, 2\)"):
+            RealForm.blade(4, (0, 2))
+        with pytest.raises(ValueError, match=r"strictly increasing, got \(2, 1\)"):
+            blade_mask((2, 1))
 
     @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255))
     def test_reorder_sign_matches_permutation_sign(self, ma, mb):
@@ -337,7 +347,8 @@ class TestEvaluate:
             else:
                 M = rng.standard_normal((n, k))
                 M[rng.random(n) < 0.25, :] = 0.0
-            rows, coeffs = _term_arrays(f)
+            kernel = DetKernel.of(f)
+            rows, coeffs = kernel.rows, kernel.coeffs
             dets = np.linalg.det(M[rows, :])
             reference = float(coeffs @ dets)
             live = ~np.array([any(not M[i - 1].any() for i in mask_indices(m)) for m in f._terms])
@@ -384,9 +395,9 @@ _CONSTRUCTIONS = {
 class TestFloatView:
     def test_built_once_and_read_only(self):
         f = RealForm(5, {(1, 2, 4): 2, (2, 3, 5): Fraction(-1, 3)})
-        view = _term_arrays(f)
-        assert _term_arrays(f) is view
-        rows, coeffs = view
+        view = DetKernel.of(f)
+        assert DetKernel.of(f) is view
+        rows, coeffs = view.rows, view.coeffs
         with pytest.raises(ValueError):
             rows[0, 0] = 4
         with pytest.raises(ValueError):

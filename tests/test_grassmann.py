@@ -423,7 +423,8 @@ def test_frame_gradient_scatter_and_singular_slabs():
     # a random frame takes the all-invertible path; the coordinate frame
     # e_1..e_8 with one column perturbed mixes invertible slabs with
     # singular ones, whose cofactors come from the SVD branch
-    rows, coeffs = forms._term_arrays(PHI)
+    kernel = forms.DetKernel.of(PHI)
+    rows, coeffs = kernel.rows, kernel.coeffs
     rng = np.random.default_rng(23)
     mixed = np.eye(16)[:, :8]
     mixed[:, 0] += 0.5 * rng.standard_normal(16)
@@ -437,7 +438,7 @@ def test_frame_gradient_scatter_and_singular_slabs():
         dets = np.linalg.det(slabs)
         G = frame_gradient(PHI, M)
         ref = np.zeros_like(M)
-        np.add.at(ref, rows, coeffs[:, None, None] * grassmann._cofactor_batch(slabs, dets))
+        np.add.at(ref, rows, coeffs[:, None, None] * forms._cofactor_batch(slabs, dets))
         assert np.array_equal(G, ref)
         # the value is affine in each entry, so central differences are exact
         # up to rounding
@@ -466,7 +467,7 @@ def test_frame_gradient_matches_finite_differences():
 
 class TestSearchKernels:
     def test_kernels_agree_in_value_and_projected_gradient(self):
-        clif, det = grassmann._search_kernel(PHI), grassmann._DetKernel(PHI)
+        clif, det = grassmann._search_kernel(PHI), forms.DetKernel.of(PHI)
         rng = np.random.default_rng(29)
         widest = 0.0
         for _ in range(10):
@@ -481,6 +482,20 @@ class TestSearchKernels:
             assert np.abs(S - S.T).max() <= 1e-12
             widest = max(widest, np.abs(S).max())
         assert widest > 1e-2
+
+    def test_det_kernel_is_the_float_view(self):
+        # one object per form serves evaluate, frame_gradient and the search
+        f = catalog()["cayley"].form
+        kernel = forms.DetKernel.of(f)
+        assert forms.DetKernel.of(f) is kernel
+        assert grassmann._search_kernel(f) is kernel
+        for a in (kernel.rows, kernel.coeffs):
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            M = rng.standard_normal((f.n, f.grade()))
+            assert forms.evaluate(f, M).hex() == kernel.value(M)[0].hex()
 
     def test_clifford_kernel_takes_its_sign_matrix(self):
         # with D = I the kernel evaluates the spinor grade-8 part itself,
