@@ -42,6 +42,8 @@ PLANE_TOL = grassmann.PLANE_TOL
 SEARCH_TOL = grassmann.SEARCH_TOL
 # search-attained Wirtinger ratio of the calibration: comass_phi's bound, tables' line
 PHI_SEARCH_RATIO = 294
+# the calibration's diagonal product, above 1; the R^4 Kaehler form's, 1/2, is the sanity value
+PHI_DIAGONAL = Fraction(147, 128)
 
 
 def _fmt(x):
@@ -335,9 +337,10 @@ def _chk_spinor_duality(seed):
 
 
 def _chk_federer_routes(seed):
-    route_a, _route_b, sanity = grassmann.federer_routes()
-    ok = route_a == Fraction(147, 128) and sanity == Fraction(1, 2)
-    return f"{route_a} and {sanity}", "147/128 and 1/2", 0.0, ok
+    value = grassmann.federer_product(cat.build_phi())
+    sanity = grassmann.federer_product(forms.RealForm(4, {(1, 2): 1, (3, 4): 1}))
+    ok = value == PHI_DIAGONAL and sanity == Fraction(1, 2)
+    return f"{value} and {sanity}", "147/128 and 1/2", 0.0, ok
 
 
 # numeric checks ------------------------------------------------------------------
@@ -498,10 +501,10 @@ def _chk_comass_never_exceed(seed, names=_NEVER_EXCEED_SUITE, restarts=8, iters=
 
 def _chk_federer_float(seed):
     phi = cat.build_phi()
-    route_b = grassmann.federer_product(phi)
-    residual = abs(grassmann.federer_eval(phi) - float(route_b))
-    measured = f"{route_b}, float residual {_fmt(residual)}"
-    ok = route_b == Fraction(147, 128) and residual < PLANE_TOL
+    value = grassmann.federer_product(phi)
+    residual = abs(grassmann.federer_eval(phi) - float(value))
+    measured = f"{value}, float residual {_fmt(residual)}"
+    ok = value == PHI_DIAGONAL and residual < PLANE_TOL
     return measured, "147/128, residual < 1e-09", PLANE_TOL, ok
 
 
@@ -588,12 +591,17 @@ def run_suite(selection="all", seed=0):
 # export --------------------------------------------------------------------------
 
 
-def export_form(name, path):
+def _catalog_entry(name):
     entries = cat.catalog()
     if name not in entries:
         raise KeyError(f"unknown form {name!r}; available: {', '.join(sorted(entries))}")
+    return entries[name]
+
+
+def export_form(name, path):
+    form = _catalog_entry(name).form
     with open(path, "w") as fh:
-        fh.write(forms.dump_form(entries[name].form))
+        fh.write(forms.dump_form(form))
 
 
 # tables ----------------------------------------------------------------------------
@@ -676,11 +684,11 @@ def _cmd_verify(args):
 
 
 def _cmd_comass(args):
-    entries = cat.catalog()
-    if args.form not in entries:
-        print(f"unknown form {args.form!r}; available: {', '.join(sorted(entries))}", file=sys.stderr)
+    try:
+        entry = _catalog_entry(args.form)
+    except KeyError as e:
+        print(e.args[0], file=sys.stderr)
         return 2
-    entry = entries[args.form]
     t0 = time.perf_counter()
     rep = grassmann.comass_search(entry.form, restarts=args.restarts, iters=args.iters,
                                   tol=args.tol, seed=args.seed, name=args.form)
@@ -720,19 +728,21 @@ def _cmd_planes(args):
 
 def _cmd_federer(args):
     t0 = time.perf_counter()
+    phi = cat.build_phi()
     try:
-        route_a, route_b, sanity = grassmann.federer_routes()
+        value = grassmann.federer_product(phi)
+        sanity = grassmann.federer_product(forms.RealForm(4, {(1, 2): 1, (3, 4): 1}))
     except cat.RouteDisagreement as e:
         print(e, file=sys.stderr)
         return 1
-    residual = abs(grassmann.federer_eval(cat.build_phi()) - float(route_b))
+    residual = abs(grassmann.federer_eval(phi) - float(value))
     dt = time.perf_counter() - t0
-    print(f"wedge route      {route_a}")
-    print(f"shuffle route    {route_b}")
+    print(f"wedge route      {value}")  # federer_product returns only if both routes agree
+    print(f"shuffle route    {value}")
     print(f"float residual   {residual:.3e}")
     print(f"planar sanity    {sanity}")
     print(f"# {dt:.1f}s", file=sys.stderr)
-    ok = route_a == Fraction(147, 128) and residual < PLANE_TOL and sanity == Fraction(1, 2)
+    ok = value == PHI_DIAGONAL and residual < PLANE_TOL and sanity == Fraction(1, 2)
     return 0 if ok else 1
 
 

@@ -363,7 +363,7 @@ def _cofactor_batch(slabs, dets):
     SVD fallback near singularity (adjugate via products of singular values,
     no division)."""
     k = slabs.shape[1]
-    scale = np.abs(slabs).max(axis=(1, 2)) + 1e-300
+    scale = np.abs(slabs).max(axis=(1, 2), initial=0.0) + 1e-300
     good = np.abs(dets) > 1e-8 * scale**k
     if good.all():
         return dets[:, None, None] * np.swapaxes(np.linalg.inv(slabs), 1, 2)
@@ -407,6 +407,30 @@ class DetKernel:
             form._float_view = cls(form)
         return form._float_view
 
+    @classmethod
+    def for_frame(cls, form, vectors):
+        """The form's kernel (None for the zero form) and ``vectors`` as a float
+        (n, k) frame, after the input checks that every float use shares."""
+        M = np.asarray(vectors)
+        if np.iscomplexobj(M):
+            raise ValueError("complex entries in vectors")
+        M = M.astype(float, copy=False)
+        if M.ndim != 2:
+            raise ValueError("vectors must be a 2-d array with one column per argument")
+        n, k = M.shape
+        if n != form.n:
+            raise ValueError(f"vectors live in R^{n}, form lives in R^{form.n}")
+        if k > n:
+            raise ValueError(f"more arguments ({k}) than dimensions ({n})")
+        if not np.isfinite(M).all():
+            raise ValueError("non-finite entries in vectors")
+        g = form.grade()
+        if g is None:
+            return None, M
+        if g != k:
+            raise ValueError(f"form has grade {g}, got {k} vectors")
+        return cls.of(form), M
+
     def value(self, M):
         slabs = M[self.rows, :]
         dets = np.linalg.det(slabs)
@@ -428,8 +452,8 @@ def evaluate(a, vectors):
 
     ``vectors`` is an (n, k) array; columns are the arguments.  The value is
     sum_I c_I det(rows I of vectors), the ``DetKernel`` value of the form's
-    float view, which is built once per form.  Raises on grade/shape
-    mismatch and on complex or non-finite input.
+    float view, which is built once per form.  ``DetKernel.for_frame`` checks
+    the input; the zero form gives 0.0.
 
     Terms whose row set meets an all-zero row of ``vectors`` are dropped
     before the dets are taken.  This is exact: partial-pivoting LU keeps a
@@ -438,27 +462,9 @@ def evaluate(a, vectors):
     a coordinate frame at most one term survives, so the value is that one
     product, bit for bit; other frames take the kernel's full batch.
     """
-    M = np.asarray(vectors)
-    if np.iscomplexobj(M):
-        raise ValueError("complex entries in vectors")
-    M = M.astype(float, copy=False)
-    if M.ndim != 2:
-        raise ValueError("vectors must be a 2-d array with one column per argument")
-    n, k = M.shape
-    if n != a.n:
-        raise ValueError(f"vectors live in R^{n}, form lives in R^{a.n}")
-    if k > n:
-        raise ValueError(f"more arguments ({k}) than dimensions ({n})")
-    if not np.isfinite(M).all():
-        raise ValueError("non-finite entries in vectors")
-    g = a.grade()
-    if g is None:
+    kernel, M = DetKernel.for_frame(a, vectors)
+    if kernel is None:
         return 0.0
-    if g != k:
-        raise ValueError(f"form has grade {g}, got {k} vectors")
-    if k == 0:
-        return float(a.coefficient(()))
-    kernel = DetKernel.of(a)
     zero = ~M.any(axis=1)
     if not zero.any():
         return kernel.value(M)[0]

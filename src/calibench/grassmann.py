@@ -12,11 +12,11 @@ structure).  theta_1 <= theta_2 <= theta_3 in [0, pi/2], theta_4 in
 family 3 uses the same recipe on a block-diagonal basis diag(U1, U2) with
 angles (t1, t1, t2, t2), one calibrated 4-plane per C^4 factor.
 
-The module also carries the two exact Federer-style product routes for
-middle-degree forms, the 4x4 minor identities of the split frame rows, and a
-projected-gradient ascent over the Stiefel manifold used to certify comass
-lower bounds.  The ascent runs on the form's float view ``forms.DetKernel``,
-or on the calibration's spinor kernel ``clifford.CliffordKernel``.
+The module also carries the Federer diagonal product of a middle-degree
+form (two exact routes that must agree), the 4x4 minor identities of the
+split frame rows, and a projected-gradient ascent over the Stiefel manifold
+for comass lower bounds, run on the form's float view ``forms.DetKernel`` or
+on the calibration's spinor kernel ``clifford.CliffordKernel``.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from calibench import clifford
 from calibench.catalog import (
     STANDARD16,
     RouteDisagreement,
-    build_phi,
     holomorphic_volume,
     kaehler_form,
     spinor_pullback_matrix,
     spinor_pullback_phi,
 )
-from calibench.forms import DetKernel, RealForm, evaluate, wedge
+from calibench.forms import DetKernel, evaluate, wedge
 
 __all__ = [
     "NormalFormSpec",
@@ -56,7 +55,6 @@ __all__ = [
     "symplectic_row_value",
     "minor_identity_check",
     "federer_product",
-    "federer_routes",
     "federer_eval",
     "frame_value",
     "frame_gradient",
@@ -388,36 +386,19 @@ def _middle_degree(form):
 
 
 def federer_product(form):
-    """Exact shuffle-sum value of (form x form) on the diagonal tuple.
+    """Exact value of (form x form) on the diagonal tuple, by two routes.
 
-    For a grade-k form on R^{2k}: the two-copy wedge evaluated on the 2k
-    vectors (f_i + g_i)/sqrt(2) splits into sum over increasing I of
-    sign(I, I^c) c_I c_{I^c}, with the 2^{-k} scaling factored out so the
-    result stays rational.
-    """
+    For a grade-k form on R^{2k}, the two-copy wedge on the 2k vectors
+    (f_i + g_i)/sqrt(2) is 2^{-k} sum over increasing I of sign(I, I^c)
+    c_I c_{I^c}: route one reads that sum off form ^ form's volume
+    coefficient, route two takes it term by term.  RouteDisagreement unless
+    both give the same rational value."""
     k = _middle_degree(form)
-    return _shuffle_sum(form.n, form.coefficient) / Fraction(2) ** k
-
-
-def federer_routes():
-    """Both exact routes of the diagonal product for the grade-8 calibration,
-    plus the shuffle sum of the Kaehler 2-form of R^4 (1/2 when sane).
-
-    Route one: the wedge square's volume coefficient over 2^8.  Route two:
-    the shuffle sum.  Disagreement raises.  Returns (route one, route two,
-    sanity value).
-    """
-    phi = build_phi()
-    n = phi.n
-    vol_idx = tuple(range(1, n + 1))
-    route_a = wedge(phi, phi).coefficient(vol_idx) / Fraction(2) ** 8
-    route_b = federer_product(phi)
+    route_a = wedge(form, form).coefficient(tuple(range(1, form.n + 1))) / Fraction(2) ** k
+    route_b = _shuffle_sum(form.n, form.coefficient) / Fraction(2) ** k
     if route_a != route_b:
-        raise RouteDisagreement(
-            f"wedge route {route_a} != shuffle route {route_b}"
-        )
-    omega_r4 = RealForm(4, {(1, 2): 1, (3, 4): 1})
-    return route_a, route_b, federer_product(omega_r4)
+        raise RouteDisagreement(f"wedge route {route_a} != shuffle route {route_b}")
+    return route_a
 
 
 def federer_eval(form):
@@ -450,9 +431,11 @@ def frame_value(form, M):
 
 
 def frame_gradient(form, M):
-    """Euclidean gradient of M -> form(columns of M): the per-entry cofactor
-    sums of the form's ``DetKernel``, which is built once per form."""
-    kernel = DetKernel.of(form)
+    """Euclidean gradient of M -> form(columns of M), with ``evaluate``'s
+    input checks: the form's ``DetKernel`` cofactor sums (zero form: zeros)."""
+    kernel, M = DetKernel.for_frame(form, M)
+    if kernel is None:
+        return np.zeros(M.shape)
     return kernel.gradient(kernel.value(M)[1])
 
 

@@ -330,6 +330,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"form is not homogeneous, grades \[1, 2\]"):
             evaluate(RealForm(4, {(1,): 1, (1, 2): 1}), np.zeros((4, 2)))
 
+    def test_grade_zero_is_its_constant(self):
+        # no arguments: the kernel's one slab is 0 x 0, with det 1
+        for c, want in ((3, 3.0), (-7, -7.0), (Fraction(1, 3), 0.3333333333333333)):
+            f = RealForm(3, {(): c})
+            got = evaluate(f, np.zeros((3, 0)))
+            assert type(got) is float and got == want
+            kernel, M = DetKernel.for_frame(f, np.zeros((3, 0)))
+            assert kernel.gradient(kernel.value(M)[1]).shape == (3, 0)
+
     def test_zero_rows_drop_only_zero_terms(self):
         # random forms on R^n, n <= 8, on frames with randomly zeroed rows or
         # on scaled coordinate frames, against the unpruned det sum

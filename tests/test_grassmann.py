@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -267,13 +268,28 @@ class TestFederer:
         assert total.hex() == "0x1.25fffffffffffp+0"
 
     def test_routes_raise_on_disagreement(self, monkeypatch):
-        monkeypatch.setattr(grassmann, "federer_product", lambda form: Fraction(1))
+        # a shuffle sum of 2^(n/2) makes the shuffle route read 1
+        monkeypatch.setattr(grassmann, "_shuffle_sum", lambda n, coeff: 2 ** (n // 2))
         with pytest.raises(RouteDisagreement, match="wedge route 147/128 != shuffle route 1"):
-            grassmann.federer_routes()
+            federer_product(PHI)
 
     def test_kaehler_r4_value(self):
         om = RealForm(4, {(1, 2): 1, (3, 4): 1})
         assert federer_product(om) == Fraction(1, 2)
+
+    def test_a_wrong_shuffle_sign_is_caught_on_r4(self, monkeypatch):
+        monkeypatch.setattr(grassmann, "_shuffle_sign", lambda indices: -1)
+        with pytest.raises(RouteDisagreement, match="wedge route 1/2 != shuffle route -1/2"):
+            federer_product(RealForm(4, {(1, 2): 1, (3, 4): 1}))
+
+    def test_catalog_middle_degree_values(self):
+        # the routes agree on every middle-degree catalog form; only the
+        # calibration and its spinor twin exceed 1
+        want = {"cayley": Fraction(7, 8), "re_omega_8": Fraction(1, 2), "im_omega_8": Fraction(1, 2),
+                "omega4": Fraction(35, 128), "phi": Fraction(147, 128), "phi8_spinor": Fraction(147, 128),
+                "psi8": Fraction(99, 128), "psi_prime8": Fraction(3, 8), "re_omega_16": Fraction(1, 2)}
+        entries = catalog()
+        assert {name: federer_product(entries[name].form) for name in want} == want
 
     def test_rejects_non_middle_forms(self):
         for f in (RealForm.blade(4, (1,)), RealForm(4, {(1,): 1, (1, 2): 1}),
@@ -463,6 +479,29 @@ def test_frame_gradient_matches_finite_differences():
             Mm = M.copy(); Mm[i, j] -= h
             fd = (frame_value(f, Mp) - frame_value(f, Mm)) / (2 * h)
             assert abs(G[i, j] - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+# inputs every float use refuses with evaluate's message; the zero form is 0
+_FRAME_INPUTS = {
+    "zero_form": (RealForm(4), np.eye(4)[:, :2], None),
+    "three_vectors_for_a_2_form": (RealForm.blade(4, (1, 2)), np.eye(4)[:, :3], "form has grade 2, got 3 vectors"),
+    "nan_frame": (RealForm.blade(4, (1, 2)), np.full((4, 2), np.nan), "non-finite entries in vectors"),
+    "complex_frame": (RealForm.blade(4, (1, 2)), np.eye(4)[:, :2] * 1j, "complex entries in vectors"),
+    "grades_1_and_2": (RealForm(4, {(1,): 1, (1, 2): 1}), np.eye(4)[:, :2], "form is not homogeneous, grades [1, 2]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FRAME_INPUTS))
+def test_frame_gradient_checks_input_like_frame_value(case):
+    form, M, message = _FRAME_INPUTS[case]
+    if message is None:
+        assert frame_value(form, M) == 0.0
+        assert np.array_equal(frame_gradient(form, M), np.zeros((4, 2)))
+        return
+    for fn in (frame_value, frame_gradient):
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            fn(form, M)
+        assert type(info.value) is ValueError
 
 
 class TestSearchKernels:
