@@ -234,12 +234,14 @@ def phi_components(pairing=STANDARD16, phase=None):
     ), (o1, o2, om1, om2)
 
 
+@functools.cache
 def build_phi(pairing=STANDARD16, phase=None):
     """The grade-8 calibration, built two ways and compared exactly.
 
     Expression one: Re(O) + omega^4/4! + Re(O1 + O2) ^ omega^2/2.
     Expression two: the four disjoint-support components.  Their equality
-    uses om_i ^ O_i = 0, which is asserted too.
+    uses om_i ^ O_i = 0, which is asserted too.  Cached; a disagreement
+    raises, so it is never cached.
     """
     comps, (o1, o2, om1, om2) = phi_components(pairing, phase)
     om = om1 + om2

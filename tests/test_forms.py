@@ -382,6 +382,81 @@ class TestEvaluate:
             assert evaluate(RealForm.zero(3), np.eye(3)[:, :2]) == 0.0
 
 
+def _unpruned(f, M):
+    """sum_t c_t det(rows t of M) over every term of f, nothing dropped."""
+    kernel = DetKernel.of(f)
+    return float(kernel.coeffs @ np.linalg.det(M[kernel.rows, :]))
+
+
+class TestOneLiveTerm:
+    """Frames with at most k live rows: ``evaluate`` reads the one term whose
+    row mask equals the live rows, and must give the unpruned sum bit for bit."""
+
+    def test_every_coordinate_frame_of_phi(self):
+        # the frames federer_eval reads, in chunks of batched unpruned dets
+        phi = build_phi()
+        kernel = DetKernel.of(phi)
+        frame = np.eye(16) / math.sqrt(2.0)
+        cols = np.array(list(itertools.combinations(range(16), 8)))
+        assert len(cols) == 12870
+        hits = 0
+        for chunk in np.array_split(cols, 200):
+            frames = frame[:, chunk].transpose(1, 0, 2)
+            dets = np.linalg.det(frames[:, kernel.rows, :])
+            for F, d in zip(frames, dets):
+                got = evaluate(phi, F)
+                assert got.hex() == float(kernel.coeffs @ d).hex()
+                hits += got != 0.0
+        assert hits == len(phi)
+
+    def test_random_forms_hit_and_miss(self):
+        # exactly k live rows holding random nonzero entries; a quarter of the
+        # frames repeat a live row (with a sign), so the det is 0 and a
+        # negative coefficient must still give +0.0 as the unpruned sum does
+        rng = np.random.default_rng(43)
+        hits = misses = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 11))
+            k = int(rng.integers(1, n))
+            pool = blades_of(n, k)
+            picks = rng.choice(len(pool), size=min(len(pool), int(rng.integers(1, 12))), replace=False)
+            f = RealForm(n, {pool[i]: Fraction(int(rng.integers(-5, 6)) or 1, int(rng.integers(1, 4)))
+                             for i in picks})
+            if rng.random() < 0.5:
+                live = np.array(pool[picks[0]]) - 1
+            else:
+                live = np.sort(rng.choice(n, size=k, replace=False))
+            M = np.zeros((n, k))
+            M[live] = rng.standard_normal((k, k))
+            if k > 1 and rng.random() < 0.25:
+                M[live[1]] = M[live[0]] * rng.choice([-1.0, 1.0])
+            got = evaluate(f, M)
+            assert got.hex() == _unpruned(f, M).hex()
+            if f.coefficient(tuple(live + 1)):
+                hits += 1
+            else:
+                misses += 1
+                assert got.hex() == "0x0.0p+0"
+        assert hits > 150 and misses > 50
+
+    def test_singular_frame_with_negative_coefficient_gives_plus_zero(self):
+        f = RealForm(3, {(1, 2): -1})
+        M = np.array([[1.0, 2.0], [3.0, 6.0], [0.0, 0.0]])
+        assert evaluate(f, M).hex() == _unpruned(f, M).hex() == "0x0.0p+0"
+
+    def test_masks_use_all_64_rows(self):
+        # masks above bit 31 and at bit 63 select the right term
+        f = RealForm(64, {(1, 33, 64): Fraction(3, 2), (2, 40, 63): -1, (7, 8, 9): 5})
+        rng = np.random.default_rng(5)
+        for live, hit in (((1, 33, 64), True), ((2, 40, 63), True), ((7, 8, 9), True),
+                          ((1, 33, 63), False), ((2, 40, 64), False), ((33, 63, 64), False)):
+            M = np.zeros((64, 3))
+            M[[i - 1 for i in live]] = rng.standard_normal((3, 3))
+            got = evaluate(f, M)
+            assert got.hex() == _unpruned(f, M).hex()
+            assert (got != 0.0) == hit
+
+
 _A = RealForm(5, {(1, 2): 1, (3, 5): Fraction(1, 3), (2, 4): -2})
 _B = RealForm(5, {(1, 2): Fraction(1, 7), (1, 4): 3})
 
