@@ -221,9 +221,10 @@ def _chk_clifford_roundtrip(seed, rng=None):
 
 def _chk_spinor_split(seed):
     # the volume element E_1...E_16 is diagonal, +1 exactly on the positive half
-    perm, sign = clifford._blade_perm(range(1, 17))
-    pos = np.nonzero(sign == 1)[0]
-    ok = (np.array_equal(perm, np.arange(clifford.DIM))
+    V = clifford.rep16(range(1, 17))
+    d = np.diagonal(V)
+    pos = np.nonzero(d == 1)[0]
+    ok = (np.array_equal(V, np.diag(d))
           and np.array_equal(pos, clifford.POSITIVE_SPINOR_INDICES))
     return f"{len(pos)}/{clifford.DIM - len(pos)}", "128/128", 0.0, ok
 

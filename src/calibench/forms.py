@@ -454,25 +454,21 @@ def evaluate(a, vectors):
     sum_I c_I det(rows I of vectors) over the form's ``DetKernel`` float
     view.  ``DetKernel.for_frame`` checks the input; the zero form gives 0.0.
 
-    Three paths, by the frame's live (nonzero) rows: all live, the kernel's
-    batched dets; at most k live, the one term whose row mask equals them,
-    read from the form by that mask (0.0 if absent); otherwise the terms
-    that meet a zero row are dropped first.  Both shortcuts are exact: LU
-    keeps a zero row exactly zero, so its det is 0.  The one-term path adds
-    0.0 as the unpruned sum does, so a -0.0 product reads +0.0, bit for bit.
+    Two paths, by the frame's live (nonzero) rows: more than k live, the
+    kernel's batched dets; at most k live, the one term whose row mask equals
+    them, read from the form by that mask (0.0 if absent).  Either way the
+    value is ``float(coeffs @ det(M[rows]))`` bit for bit: LU keeps a zero row
+    exactly zero, so every other term's det is 0, and the one-term path adds
+    0.0 as the sum does, so a -0.0 product reads +0.0.
     """
     kernel, M = DetKernel.for_frame(a, vectors)
     if kernel is None:
         return 0.0
     live = M.any(axis=1)
-    n_live = np.count_nonzero(live)
-    if n_live == M.shape[0]:
+    if np.count_nonzero(live) > M.shape[1]:
         return kernel.value(M)[0]
-    if n_live <= M.shape[1]:
-        c = a._terms.get(int.from_bytes(np.packbits(live, bitorder="little"), "little"))
-        return 0.0 if c is None else float(c) * float(np.linalg.det(M[live])) + 0.0
-    keep = live[kernel.rows].all(axis=1)
-    return float(kernel.coeffs[keep] @ np.linalg.det(M[kernel.rows[keep], :]))
+    c = a._terms.get(int.from_bytes(np.packbits(live, bitorder="little"), "little"))
+    return 0.0 if c is None else float(c) * float(np.linalg.det(M[live])) + 0.0
 
 
 def alternation(T, k, n):
@@ -501,19 +497,15 @@ def alternation(T, k, n):
 def pullback(a, L):
     """Pullback along the linear map with matrix L: (L*a)(v...) = a(Lv...).
 
-    Exact: entries of L are converted to Fractions (floats convert exactly,
-    being binary rationals).  Each coordinate 1-form E_i pulls back to the
-    1-form with row i of L as coefficients, and each blade to the wedge of
-    its pulled-back 1-forms.
+    Exact: entries of L are exact scalars (int or Fraction; floats are
+    refused).  Each coordinate 1-form E_i pulls back to the 1-form with row i
+    of L as coefficients, and each blade to the wedge of its pulled-back
+    1-forms.
     """
     Lm = np.asarray(L, dtype=object)
     if Lm.shape != (a.n, a.n):
         raise ValueError(f"matrix must be {a.n}x{a.n}, got {Lm.shape}")
-    rows = [
-        RealForm(a.n, {1 << j: Fraction(x) if isinstance(x, (float, np.floating)) else x
-                       for j, x in enumerate(Lm[i])})
-        for i in range(a.n)
-    ]
+    rows = [RealForm(a.n, {1 << j: x for j, x in enumerate(Lm[i])}) for i in range(a.n)]
     out = RealForm(a.n)
     for m, coeff in a._terms.items():
         blade = RealForm(a.n, {0: coeff})

@@ -213,10 +213,7 @@ class PlaneSample:
         if self.spec is not None:
             d["spec"] = self.spec.to_dict()
         if self.meta:
-            d["meta"] = {
-                k: (v if not isinstance(v, np.ndarray) else v.tolist())
-                for k, v in self.meta.items()
-            }
+            d["meta"] = dict(self.meta)
         return d
 
 

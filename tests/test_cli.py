@@ -316,15 +316,33 @@ def test_federer_verb_fails_on_a_float_mismatch(monkeypatch, capsys):
     assert main(["federer"]) == 1
 
 
-def test_cli_import_leaves_scipy_out():
+def _python(*args, timeout):
+    """Run a fresh interpreter that imports this checkout's calibench."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, calibench.cli; print('scipy' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = _python("-c", "import sys, calibench.cli; print('scipy' in sys.modules)", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_verify_all_reports_are_byte_identical_across_processes(tmp_path):
+    # the whole suite at its own sizes, twice, each in a fresh interpreter
+    paths = [tmp_path / f"report{i}.json" for i in range(2)]
+    for path in paths:
+        proc = _python("-m", "calibench.cli", "verify", "--suite", "all", "--seed", "0", "--json", str(path),
+                       timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads(paths[0].read_text())
+    assert len(doc["checks"]) == 40
+    assert all(c["status"] == "pass" for c in doc["checks"])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_comass_unknown_form(capsys):
