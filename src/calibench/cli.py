@@ -161,8 +161,8 @@ def _chk_octonion_chain(seed):
     return (f"chain={q.co}"[:40] if not ok else "1 and -i"), "1 and -i", 0.0, ok
 
 
-def _chk_octonion_norm_composition(seed, rng=None):
-    rng = np.random.default_rng([seed, 6] if rng is None else rng)
+def _chk_octonion_norm_composition(seed):
+    rng = np.random.default_rng([seed, 6])
     bad = 0
     for _ in range(1000):
         nums = rng.integers(-9, 10, size=16)
@@ -207,8 +207,8 @@ def _chk_clifford_volume8(seed):
     return ("diag(id,-id)" if ok else "differs"), "diag(id,-id)", 0.0, bool(ok)
 
 
-def _chk_clifford_roundtrip(seed, rng=None):
-    rng = np.random.default_rng([seed, 8] if rng is None else rng)
+def _chk_clifford_roundtrip(seed):
+    rng = np.random.default_rng([seed, 8])
     bad = 0
     for _ in range(50):
         k = int(rng.integers(0, 17))
@@ -373,8 +373,8 @@ def _chk_case4_perturb(seed):
     return _fmt(worst), "< " + _fmt(bound), 1e-6, worst < bound
 
 
-def _chk_minor_identities(seed, rng=None):
-    rng = np.random.default_rng([seed, 23] if rng is None else rng)
+def _chk_minor_identities(seed):
+    rng = np.random.default_rng([seed, 23])
     worst_res = 0.0
     worst_mixed = 0.0
     worst_beta = -1.0
@@ -421,8 +421,8 @@ def _chk_kaehler_roundtrip(seed):
     return _fmt(worst), "<= 1e-08", 1e-8, worst <= 1e-8
 
 
-def _chk_gradient(seed, rng=None):
-    rng = np.random.default_rng([seed, 26] if rng is None else rng)
+def _chk_gradient(seed):
+    rng = np.random.default_rng([seed, 26])
     entries = cat.catalog()
     names = sorted(entries)
     h = 1e-5
@@ -501,12 +501,10 @@ def _chk_comass_never_exceed(seed, names=_NEVER_EXCEED_SUITE, restarts=8, iters=
 
 
 def _chk_federer_float(seed):
-    phi = cat.build_phi()
-    value = grassmann.federer_product(phi)
-    residual = abs(grassmann.federer_eval(phi) - float(value))
-    measured = f"{value}, float residual {_fmt(residual)}"
-    ok = value == PHI_DIAGONAL and residual < PLANE_TOL
-    return measured, "147/128, residual < 1e-09", PLANE_TOL, ok
+    # federer_routes proves both exact routes give PHI_DIAGONAL
+    residual = abs(grassmann.federer_eval(cat.build_phi()) - float(PHI_DIAGONAL))
+    measured = f"{PHI_DIAGONAL}, float residual {_fmt(residual)}"
+    return measured, "147/128, residual < 1e-09", PLANE_TOL, residual < PLANE_TOL
 
 
 _EXACT_CHECKS = (

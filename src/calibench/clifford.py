@@ -291,23 +291,20 @@ def endo_to_form(A):
     Walsh-Hadamard transform along c of D[c, x] = A[c xor x, c]: one cached
     flat gather, then an 8-stage integer butterfly run in place on the leading
     axis, each stage on contiguous blocks of at least 256 entries.  Only the
-    nonzero entries of H are read, each named by its blade.  Takes
-    integer entries with |a| < 2^55, so no sum or intermediate leaves int64;
-    raises TypeError on anything inexact, to keep the exact lane honest, and
-    ValueError beyond the bound.
+    nonzero entries of H are read, each named by its blade.  Takes an
+    integer dtype with entries |a| < 2^55, so no sum or intermediate leaves
+    int64; raises TypeError on any other dtype, object arrays included, to
+    keep the exact lane honest, and ValueError beyond the bound.
     """
     M = np.asarray(A)
     if M.shape != (DIM, DIM):
         raise ValueError(f"expected a {DIM}x{DIM} matrix, got {M.shape}")
-    if M.dtype != object and not np.issubdtype(M.dtype, np.integer):
-        raise TypeError("endo_to_form needs an integer-valued matrix")
+    if not np.issubdtype(M.dtype, np.integer):
+        raise TypeError("endo_to_form needs an integer dtype")
     if ((M >= _BOUND) | (M <= -_BOUND)).any():
         raise ValueError("endo_to_form needs entries with |a| < 2^55")
-    M2 = M.astype(np.int64, copy=False)
-    if M.dtype == object and not (M2.astype(object) == M).all():
-        raise TypeError("endo_to_form needs an integer-valued matrix")
     gather, blade, SIG = _projection_tables()
-    H = M2.ravel()[gather]
+    H = M.astype(np.int64, copy=False).ravel()[gather]
     for k in range(8):
         # c's bit k is the middle axis; (a, b) -> (a + b, a - b) in place
         V = H.reshape(-1, 2, DIM << k)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -108,6 +109,16 @@ def test_suite_ids_and_claims_are_pinned(monkeypatch):
         monkeypatch.setattr(cli, table, stubbed)
     rep = run_suite("all", seed=0)
     assert [(c.check_id, c.claim) for c in rep.checks] == list(SUITE_ALL)
+
+
+def test_check_bodies_take_only_the_seed():
+    # verify and the acceptance gate share these bodies; only the two search
+    # bodies take sizes, which the gate sets to its acceptance spec
+    sizes = {"comass_phi": ("restarts", "iters"),
+             "comass_never_exceed": ("names", "restarts", "iters")}
+    params = {cid: tuple(inspect.signature(fn).parameters)
+              for cid, _claim, fn in cli._EXACT_CHECKS + cli._NUMERIC_CHECKS}
+    assert params == {cid: ("seed", *sizes.get(cid, ())) for cid in params}
 
 
 def test_selection_is_validated():
@@ -314,6 +325,12 @@ def test_federer_verb_reports_route_disagreement(monkeypatch, capsys):
 def test_federer_verb_fails_on_a_float_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(grassmann, "federer_eval", lambda form: 0.0)
     assert main(["federer"]) == 1
+
+
+def test_federer_float_check_fails_on_a_float_mismatch(monkeypatch):
+    monkeypatch.setattr(grassmann, "federer_eval", lambda form: 0.0)
+    measured, _expected, _tol, ok = cli._chk_federer_float(0)
+    assert not ok, measured
 
 
 def _python(*args, timeout):
