@@ -234,15 +234,22 @@ def phi_components(pairing=STANDARD16, phase=None):
     ), (o1, o2, om1, om2)
 
 
-@functools.cache
 def build_phi(pairing=STANDARD16, phase=None):
     """The grade-8 calibration, built two ways and compared exactly.
 
     Expression one: Re(O) + omega^4/4! + Re(O1 + O2) ^ omega^2/2.
     Expression two: the four disjoint-support components.  Their equality
-    uses om_i ^ O_i = 0, which is asserted too.  Cached; a disagreement
-    raises, so it is never cached.
+    uses om_i ^ O_i = 0, which is asserted too.  Only the standard form is
+    cached (``build_phi.cache_clear`` empties that cache): the other pairings
+    and phases are each read once, so keeping them would only hold memory.
+    A disagreement raises, so it is never cached.
     """
+    if pairing == STANDARD16 and phase is None:
+        return _standard_phi()
+    return _assemble_phi(pairing, phase)
+
+
+def _assemble_phi(pairing, phase):
     comps, (o1, o2, om1, om2) = phi_components(pairing, phase)
     om = om1 + om2
     half = Fraction(1, 2)
@@ -255,6 +262,14 @@ def build_phi(pairing=STANDARD16, phase=None):
     if expr1 != expr2:
         raise RouteDisagreement("the two expressions for the grade-8 form disagree")
     return expr1
+
+
+@functools.cache
+def _standard_phi():
+    return _assemble_phi(STANDARD16, None)
+
+
+build_phi.cache_clear = _standard_phi.cache_clear
 
 
 # spinor family ---------------------------------------------------------------

@@ -105,11 +105,18 @@ class CliffordKernel:
     s' = ``S_PRIME``: the Clifford product of orthonormal vectors is their
     blade.  ``value`` applies the eight rho's right to left on 16x16 spinor
     matrices and keeps the partial products P_j = rho(D u_{j+1})...rho(D u_8) s
-    as its state.  ``gradient`` runs the backward products
-    Q_j = rho(D u_{j-1})^T...rho(D u_1)^T (s + s'), using rho^T = -rho, and
-    pairs rho(e_i) P_j with Q_j for all sixteen generators at once.  A value
-    costs 16 matrix products of 16x16, a gradient 14 more plus two batched
-    ones.
+    in its state (M, P).  ``gradient`` rebuilds the rho factors from M, runs
+    the backward products Q_j = rho(D u_{j-1})^T...rho(D u_1)^T (s + s'),
+    using rho^T = -rho, and pairs rho(e_i) P_j with Q_j for all sixteen
+    generators at once.  A value costs two factor products and 16 matrix
+    products of 16x16, a gradient the two factor products again (keeping
+    only P holds less memory per frame), 14 more 16x16 products and two
+    batched ones.
+
+    ``M`` is one 16 x k frame, with a float value and a 16 x k gradient, or a
+    stack (B, 16, k), with B values and a (B, 16, k) gradient; every product
+    runs per frame with the frame's own shapes, so each frame's numbers are
+    bit for bit those of the frame alone.
 
     This is the Euclidean gradient of the multilinear extension, which
     differs from the per-term cofactor gradient by M S with S symmetric; the
@@ -125,40 +132,48 @@ class CliffordKernel:
         # row i is the P8 matrix R_i of generator i, row-major
         self.R = np.array([rep8_matrix(e) for e in np.eye(8, dtype=int)], dtype=float).reshape(8, 256)
 
-    def _factors(self, U):
-        """For the columns u_j of a float 16 x k matrix: L[j] = R(u_j[:8]) and
-        Rt[j] = R(u_j[8:])^T, so that rho(u_j) X = L[j] X V + X Rt[j]."""
-        R, k = self.R, U.shape[1]
-        return (U[:8].T @ R).reshape(k, 16, 16), (U[8:].T @ R).reshape(k, 16, 16).transpose(0, 2, 1)
+    def _factors(self, M):
+        """For the columns u_j of D M, a float (..., 16, k) array: L[..., j] =
+        R(u_j[:8]) and Rt[..., j] = R(u_j[8:])^T, so that rho(u_j) X =
+        L[..., j] X V + X Rt[..., j]."""
+        U = self.D @ M
+        shape = U.shape[:-2] + (U.shape[-1], 16, 16)
+        top = (U[..., :8, :].swapaxes(-1, -2) @ self.R).reshape(shape)
+        return top, (U[..., 8:, :].swapaxes(-1, -2) @ self.R).reshape(shape).swapaxes(-1, -2)
 
     def _pairings(self, P, Q):
-        """[k, 16] array of <rho(e_i) P[j], Q[j]> for [k, 16, 16] stacks P and Q.
+        """[..., k, 16] array of <rho(e_i) P[j], Q[j]> for [..., k, 16, 16]
+        stacks P and Q.
 
         <R_i X V, Y> is the sum of R_i against Y V X^T, and <X R_i^T, Y> the
         sum of R_i against Y^T X, so each half is one product with the
         flattened R_i.
         """
-        k = len(P)
-        A = ((Q * _VOL8) @ P.transpose(0, 2, 1)).reshape(k, 256)
-        B = (Q.transpose(0, 2, 1) @ P).reshape(k, 256)
-        return np.concatenate((A @ self.R.T, B @ self.R.T), axis=1)
+        shape = P.shape[:-2] + (256,)
+        right = (Q.swapaxes(-1, -2) @ P).reshape(shape) @ self.R.T
+        left = ((Q * _VOL8) @ P.swapaxes(-1, -2)).reshape(shape) @ self.R.T
+        return np.concatenate((left, right), axis=-1)
 
     def value(self, M):
-        L, Rt = self._factors(self.D @ M)
-        P = np.empty((len(L), 16, 16))
-        X = self.s
-        for j in reversed(range(len(L))):
-            P[j] = X
-            X = _rho_apply(L[j], Rt[j], X)
-        return float(np.vdot(self.w, X)), (L, Rt, P)
+        L, Rt = self._factors(M)
+        P = np.empty(L.shape)
+        X = np.broadcast_to(self.s, L.shape[:-3] + (16, 16))
+        for j in reversed(range(L.shape[-3])):
+            P[..., j, :, :] = X
+            X = _rho_apply(L[..., j, :, :], Rt[..., j, :, :], X)
+        if X.ndim == 2:
+            return float(np.vdot(self.w, X)), (M, P)
+        return np.array([np.vdot(self.w, x) for x in X]), (M, P)
 
     def gradient(self, state):
-        L, Rt, P = state
+        M, P = state
+        L, Rt = self._factors(M)
         Q = np.empty_like(P)
-        Q[0] = self.w
-        for j in range(len(L) - 1):
-            Q[j + 1] = -_rho_apply(L[j], Rt[j], Q[j])
-        return self.D.T @ self._pairings(P, Q).T
+        Q[..., 0, :, :] = self.w
+        for j in range(L.shape[-3] - 1):
+            Q[..., j + 1, :, :] = -_rho_apply(L[..., j, :, :], Rt[..., j, :, :], Q[..., j, :, :])
+        del L, Rt
+        return self.D.T @ self._pairings(P, Q).swapaxes(-1, -2)
 
 
 def rep8_matrix(v):

@@ -384,12 +384,26 @@ def _cofactor_batch(slabs, dets):
     return out
 
 
+# Slab entries one batched det or inverse takes at most: a stack of frames is
+# cut into pieces of at most this many entries, and at least one frame.  On
+# phi8_spinor (294 terms of grade 8, 18,816 slab entries a frame) 16 restarts
+# of 200 steps took 0.82 s one frame at a time, 0.92 s in unbroken 8-frame
+# stacks and 0.76 s in one-frame pieces of them.  Forms under 4,096 entries a
+# frame, such as the six that verify's comass_never_exceed searches, keep an
+# 8-frame stack whole (phi6_spinor: 0.107 s alone, 0.069 s stacked).
+_SLAB_ENTRIES = 1 << 15
+
+
 class DetKernel:
     """A homogeneous form's float view: the 0-based ``rows`` [T, k] and float
     ``coeffs`` [T] of its terms in storage order, read-only, built once per
     form by ``of``.  ``value`` is sum_t coeffs[t] det(rows t of M), one
-    batched det; its state (slabs, dets) gives ``gradient`` the cofactor
-    sums at one batched inverse of the same slabs."""
+    batched det; its state (M, dets) gives ``gradient`` the cofactor sums at
+    one batched inverse of the slabs, gathered again from M.
+
+    ``M`` is one (n, k) frame, with a float value and an (n, k) gradient, or
+    a stack (B, n, k) of frames, with B values and a (B, n, k) gradient.
+    Each frame's numbers are bit for bit those of the frame alone."""
 
     name = "det"
 
@@ -431,20 +445,43 @@ class DetKernel:
             raise ValueError(f"form has grade {g}, got {k} vectors")
         return cls.of(form), M
 
+    def _slabs(self, M):
+        """The [..., T, k, k] row slabs of M, contiguous: a fancy index behind
+        a stack axis would lay them out term-major."""
+        return np.take(M, self.rows, axis=-2)
+
+    def _pieces(self, M):
+        """Slices of a (B, n, k) stack into pieces of at most _SLAB_ENTRIES
+        slab entries."""
+        step = max(1, _SLAB_ENTRIES // (self.rows.size * self.rows.shape[1]))
+        return [slice(i, i + step) for i in range(0, len(M), step)]
+
     def value(self, M):
-        slabs = M[self.rows, :]
-        dets = np.linalg.det(slabs)
-        return float(self.coeffs @ dets), (slabs, dets)
+        if M.ndim == 2:
+            dets = np.linalg.det(self._slabs(M))
+            return float(self.coeffs @ dets), (M, dets)
+        dets = np.concatenate([np.linalg.det(self._slabs(M[p])) for p in self._pieces(M)])
+        # one product per frame on its own contiguous row of dets: a single
+        # (B, T) @ (T,) product, or one on a strided row, sums in another order
+        return np.array([self.coeffs @ d for d in dets]), (M, dets)
 
     def gradient(self, state):
-        """Cofactor sums scattered onto an n x k gradient: entry
+        """Cofactor sums scattered onto an n x k gradient per frame: entry
         (rows[t, a], b) collects coeffs[t] * cof[t, a, b], summed in term
-        order by one bincount over the flat indices row * k + col."""
-        slabs, dets = state
-        k = self.rows.shape[1]
+        order by one bincount per piece over the flat indices
+        (frame * n + row) * k + col."""
+        M, dets = state
+        if M.ndim == 2:
+            return self._gradient(M[None], dets[None])[0]
+        return np.concatenate([self._gradient(M[p], dets[p]) for p in self._pieces(M)])
+
+    def _gradient(self, M, dets):
+        B, (T, k) = len(M), self.rows.shape
+        cof = _cofactor_batch(self._slabs(M).reshape(B * T, k, k), dets.reshape(B * T))
         flat = (self.rows[:, :, None] * k + np.arange(k)).ravel()
-        weights = (self.coeffs[:, None, None] * _cofactor_batch(slabs, dets)).ravel()
-        return np.bincount(flat, weights=weights, minlength=self.n * k).reshape(self.n, k)
+        flat = (np.arange(B)[:, None] * (self.n * k) + flat).ravel()
+        weights = (np.tile(self.coeffs, B)[:, None, None] * cof).ravel()
+        return np.bincount(flat, weights=weights, minlength=B * self.n * k).reshape(M.shape)
 
 
 def evaluate(a, vectors):

@@ -11,21 +11,32 @@ structure).  theta_1 <= theta_2 <= theta_3 in [0, pi/2], theta_4 in
 [theta_3, pi]; the phase is the argument of det of the unitary.  Calibrated
 family 3 uses the same recipe on a block-diagonal basis diag(U1, U2) with
 angles (t1, t1, t2, t2), one calibrated 4-plane per C^4 factor.
+``gen_calibrated`` builds its samples as one stack: it reads the random
+stream sample by sample, as a loop of ``sample_group`` calls would, then
+runs the QR, phase and determinant fixes, ``eigh`` and the frame recipe once
+per family on the whole stack; ``sample_group`` and ``realize`` are the
+one-sample case of that code.
 
 The module also carries the Federer diagonal product of a middle-degree
 form (two exact routes that must agree), the 4x4 minor identities of the
 split frame rows, and a projected-gradient ascent over the Stiefel manifold
 for comass lower bounds, run on the form's float view ``forms.DetKernel`` or
-on the calibration's spinor kernel ``clifford.CliffordKernel``.
+on the calibration's spinor kernel ``clifford.CliffordKernel``.  The
+restarts of a search climb together, a pool of ``_POOL_WIDTH`` (8) at a
+time, each kernel call batched over the pool; the width is sized by memory,
+since each live restart holds its kernel state.  Every stacked computation
+works frame by frame, so each sample and each restart record is bit for bit
+what it would be alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -103,23 +114,27 @@ class NormalFormSpec:
 
 
 def realify(z):
-    """C^m vector -> R^{2m} with interleaved real/imaginary parts."""
+    """C^m -> R^{2m} with interleaved real and imaginary parts, on a vector or
+    on each column of an (..., m, c) array."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty(2 * z.shape[0])
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
+    cols = z if z.ndim > 1 else z[:, None]
+    out = np.empty(cols.shape[:-2] + (2 * cols.shape[-2], cols.shape[-1]))
+    out[..., 0::2, :] = cols.real
+    out[..., 1::2, :] = cols.imag
+    return out if z.ndim > 1 else out[:, 0]
 
 
 def _plane(U, angles):
-    """16x8 frame of the normal-form recipe on the unitary basis U."""
-    cols = []
-    for m, t in enumerate(angles):
-        e_odd = U[:, 2 * m]
-        e_even = U[:, 2 * m + 1]
-        cols.append(realify(e_odd))
-        cols.append(realify(1j * e_odd * math.cos(t) + e_even * math.sin(t)))
-    return np.column_stack(cols)
+    """16x8 frame of the normal-form recipe on the unitary basis U, or a stack
+    of frames for a stack of bases with one row of four angles each.  The
+    cosines and sines are taken one angle at a time by ``math``."""
+    th = np.asarray(angles, dtype=float)
+    cos = np.array([math.cos(t) for t in th.ravel()]).reshape(th.shape)[..., None, :]
+    sin = np.array([math.sin(t) for t in th.ravel()]).reshape(th.shape)[..., None, :]
+    cols = np.empty(U.shape, dtype=complex)
+    cols[..., 0::2] = U[..., 0::2]
+    cols[..., 1::2] = 1j * U[..., 0::2] * cos + U[..., 1::2] * sin
+    return realify(cols)
 
 
 def realize(spec):
@@ -155,44 +170,104 @@ def kaehler_angles(frame):
 _SP_J = np.kron(np.eye(4), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+def _unitary(Z, kind):
+    """Unitary matrices from a stack of complex Gaussian matrices Z: the QR
+    factor Q with the phases of R's diagonal moved into it; for "su" the
+    first column also takes the conjugate phase of det(Q).  Returns (Q,
+    singular), or (None, singular) when some Z[b] has |R_ii| <= 1e-12 and
+    must be redrawn.  Membership residuals are asserted below 1e-10."""
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    singular = ~(np.abs(d).min(axis=-1) > 1e-12)
+    if singular.any():
+        return None, singular
+    Q = Q * (d / np.abs(d))[:, None, :]
+    if kind == "su":
+        # one scalar division per matrix: an array division rounds differently
+        for q, det in zip(Q, np.linalg.det(Q)):
+            q[:, 0] *= det.conjugate() / abs(det)
+        if (np.abs(np.linalg.det(Q) - 1) > _UNITARY_RESIDUAL).any():
+            raise AssertionError("determinant correction failed")
+    if (_residual(Q.conj().swapaxes(-1, -2) @ Q - np.eye(Q.shape[-1])) > _UNITARY_RESIDUAL).any():
+        raise AssertionError("unitary residual too large")
+    return Q, singular
+
+
+def _symplectic(B):
+    """Compact symplectic 8x8 matrices exp(A) from a stack of complex Gaussian
+    matrices B, with A the projection of B onto sp(4) (skew-Hermitian and
+    commuting with the quaternionic structure).  Residuals are asserted below
+    1e-10."""
+    A = (B - B.conj().swapaxes(-1, -2)) / 2
+    A = (A + _SP_J @ A.conj() @ np.linalg.inv(_SP_J)) / 2
+    # exp(A) for skew-Hermitian A, from the Hermitian eigensystem of iA
+    w, V = np.linalg.eigh(1j * A)
+    S = (V * np.exp(-1j * w)[:, None, :]) @ V.conj().swapaxes(-1, -2)
+    if (_residual(S.swapaxes(-1, -2) @ _SP_J @ S - _SP_J) > _UNITARY_RESIDUAL).any():
+        raise AssertionError("symplectic residual too large")
+    if (_residual(S.conj().swapaxes(-1, -2) @ S - np.eye(8)) > _UNITARY_RESIDUAL).any():
+        raise AssertionError("unitary residual too large")
+    if (np.abs(np.linalg.det(S) - 1) > _UNITARY_RESIDUAL).any():
+        raise AssertionError("symplectic sample must have determinant one")
+    return S
+
+
+def _residual(X):
+    """Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(X, axis=(-2, -1))
+
+
+def _draw_groups(rng, count, layout):
+    """Sample `count` draws of each entry of `layout` as one stack per entry.
+
+    An entry is ("u", n), ("su", n) or ("sp4", 8), a group sampled from an
+    n x n complex Gaussian matrix, or ("uniform", lo, hi), a float.  The
+    random stream is read sample by sample, entry by entry, as a loop of
+    ``sample_group`` and ``rng.uniform`` calls would read it; only the linear
+    algebra runs on the stacks.  A u or su Gaussian with |R_ii| <= 1e-12 is
+    redrawn at once, before any later draw: the stacked QR finds the first
+    such draw, and the stream is read again from the start with one more
+    draw discarded at that place.
+    """
+    start = rng.bit_generator.state
+    discards = Counter()
+    while True:
+        drawn = [[] for _ in layout]
+        for b in range(count):
+            for j, (kind, *args) in enumerate(layout):
+                if kind == "uniform":
+                    drawn[j].append(rng.uniform(*args))
+                    continue
+                n = args[0]
+                for _ in range(discards[b, j] + 1):
+                    Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+                drawn[j].append(Z)
+        out, redraws = [], []
+        for j, ((kind, *_), x) in enumerate(zip(layout, drawn)):
+            x = np.array(x)
+            if kind in ("u", "su"):
+                x, singular = _unitary(x, kind)
+                if x is None:
+                    redraws.append((int(np.argmax(singular)), j))
+            elif kind == "sp4":
+                x = _symplectic(x)
+            out.append(x)
+        if not redraws:
+            return out
+        discards[min(redraws)] += 1
+        rng.bit_generator.state = start
+
+
 def sample_group(kind, rng, n=8):
     """Draw a matrix from u(nitary), su (determinant one) or sp4 (compact
     symplectic, 8x8).  `rng` is an integer seed or a numpy Generator.
-    Membership residuals are asserted below 1e-10."""
-    rng = np.random.default_rng(rng)
-    if kind in ("u", "su"):
-        while True:
-            Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-            Q, R = np.linalg.qr(Z)
-            d = np.diag(R)
-            if np.abs(d).min() > 1e-12:
-                break
-        Q = Q * (d / np.abs(d))
-        if kind == "su":
-            det = np.linalg.det(Q)
-            Q[:, 0] *= det.conjugate() / abs(det)
-            if abs(np.linalg.det(Q) - 1) > _UNITARY_RESIDUAL:
-                raise AssertionError("determinant correction failed")
-        if np.linalg.norm(Q.conj().T @ Q - np.eye(n)) > _UNITARY_RESIDUAL:
-            raise AssertionError("unitary residual too large")
-        return Q
-    if kind == "sp4":
-        if n != 8:
-            raise ValueError("sp4 lives in dimension 8")
-        B = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) / math.sqrt(2)
-        A = (B - B.conj().T) / 2
-        A = (A + _SP_J @ A.conj() @ np.linalg.inv(_SP_J)) / 2
-        # exp(A) for skew-Hermitian A, from the Hermitian eigensystem of iA
-        w, V = np.linalg.eigh(1j * A)
-        S = (V * np.exp(-1j * w)) @ V.conj().T
-        if np.linalg.norm(S.T @ _SP_J @ S - _SP_J) > _UNITARY_RESIDUAL:
-            raise AssertionError("symplectic residual too large")
-        if np.linalg.norm(S.conj().T @ S - np.eye(8)) > _UNITARY_RESIDUAL:
-            raise AssertionError("unitary residual too large")
-        if abs(np.linalg.det(S) - 1) > _UNITARY_RESIDUAL:
-            raise AssertionError("symplectic sample must have determinant one")
-        return S
-    raise ValueError(f"unknown group kind {kind!r}")
+    Membership residuals are asserted below 1e-10.  The one-sample case of
+    the stacked sampler behind ``gen_calibrated``."""
+    if kind not in ("u", "su", "sp4"):
+        raise ValueError(f"unknown group kind {kind!r}")
+    if kind == "sp4" and n != 8:
+        raise ValueError("sp4 lives in dimension 8")
+    return _draw_groups(np.random.default_rng(rng), 1, ((kind, n),))[0][0]
 
 
 # calibrated plane families ----------------------------------------------------
@@ -230,38 +305,36 @@ def gen_calibrated(case, count, seed):
     """
     if case not in (1, 2, 3, 4):
         raise ValueError("case must be 1, 2, 3 or 4")
+    if count == 0:
+        return []
     rng = np.random.default_rng([seed, case])
-    out = []
-    for _ in range(count):
-        if case == 1:
-            U = sample_group("su", rng)
-            spec = NormalFormSpec(U, (math.pi / 2,) * 4)
-            out.append(PlaneSample(1, realize(spec), spec))
-        elif case == 2:
-            U = sample_group("u", rng)
-            spec = NormalFormSpec(U, (0.0,) * 4)
-            out.append(PlaneSample(2, realize(spec), spec))
-        else:
-            U1 = sample_group("su", rng, n=4)
-            U2 = sample_group("su", rng, n=4)
-            D = np.block([[U1, np.zeros((4, 4))], [np.zeros((4, 4)), U2]])
-            if case == 3:
-                th1 = float(rng.uniform(0, math.pi / 2))
-                th2 = float(rng.uniform(0, math.pi / 2))
-                meta = {
-                    "angles": [th1, th2],
-                    "basis_left_re": U1.real.tolist(),
-                    "basis_left_im": U1.imag.tolist(),
-                    "basis_right_re": U2.real.tolist(),
-                    "basis_right_im": U2.imag.tolist(),
-                }
-                out.append(PlaneSample(3, _plane(D, (th1, th1, th2, th2)), None, meta))
-            else:
-                S = sample_group("sp4", rng)
-                th = float(rng.uniform(0.05, math.pi / 2 - 0.05))
-                spec = NormalFormSpec(D @ S, (th,) * 4)
-                out.append(PlaneSample(4, realize(spec), spec, {"theta": th}))
-    return out
+    if case in (1, 2):
+        (U,) = _draw_groups(rng, count, (("su" if case == 1 else "u", 8),))
+        specs = [NormalFormSpec(u, (math.pi / 2 if case == 1 else 0.0,) * 4) for u in U]
+        frames = _plane(U, [s.angles for s in specs])
+        return [PlaneSample(case, frame, spec) for frame, spec in zip(frames, specs)]
+    half = math.pi / 2
+    if case == 3:
+        layout = (("su", 4), ("su", 4), ("uniform", 0, half), ("uniform", 0, half))
+    else:
+        layout = (("su", 4), ("su", 4), ("sp4", 8), ("uniform", 0.05, half - 0.05))
+    U1, U2, X, Y = _draw_groups(rng, count, layout)
+    D = np.zeros((count, 8, 8), dtype=complex)
+    D[:, :4, :4] = U1
+    D[:, 4:, 4:] = U2
+    if case == 3:
+        angles = [(float(t1), float(t1), float(t2), float(t2)) for t1, t2 in zip(X, Y)]
+        return [PlaneSample(3, frame, None, {
+                    "angles": [a[0], a[2]],
+                    "basis_left_re": u1.real.tolist(),
+                    "basis_left_im": u1.imag.tolist(),
+                    "basis_right_re": u2.real.tolist(),
+                    "basis_right_im": u2.imag.tolist(),
+                }) for frame, a, u1, u2 in zip(_plane(D, angles), angles, U1, U2)]
+    DS = D @ X
+    specs = [NormalFormSpec(m, (float(th),) * 4) for m, th in zip(DS, Y)]
+    return [PlaneSample(4, frame, spec, {"theta": spec.angles[0]})
+            for frame, spec in zip(_plane(DS, [s.angles for s in specs]), specs)]
 
 
 # closed-form evaluation of the main calibration on normal forms ---------------
@@ -437,10 +510,12 @@ def frame_gradient(form, M):
 
 
 def _retract(X):
+    """The orthonormal frame of X, or of each frame of a stack: the QR factor
+    Q with the signs that make R's diagonal nonnegative."""
     Q, R = np.linalg.qr(X)
-    d = np.sign(np.diag(R))
+    d = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return Q * d
+    return Q * d[..., None, :]
 
 
 @functools.cache
@@ -457,18 +532,31 @@ def _search_kernel(form):
 
 
 def _project(M, G):
-    """The projection G - M sym(M^T G) onto the tangent space at M."""
-    A = M.T @ G
-    return G - M @ ((A + A.T) / 2)
+    """The projection G - M sym(M^T G) onto the tangent space at M, per frame
+    of a stack."""
+    A = M.swapaxes(-1, -2) @ G
+    return G - M @ ((A + A.swapaxes(-1, -2)) / 2)
 
 
 _STEP_RANGE = (1e-6, 1e6)
 _STEP_FLOOR = 1e-14
 
 
-def _ascend(kernel, M, iters, tol):
-    """Projected-gradient ascent from the orthonormal frame M with
-    Barzilai-Borwein steps and a QR retraction.
+# Width of the pool of restarts that climb as one stack, sized by memory.  On
+# the calibration's Clifford kernel a live restart holds 16 KiB of partial
+# products, and a gradient passes about four such arrays per restart through
+# numpy, so the tracemalloc peak of comass_search(Phi, 20, 300) grows by
+# ~0.09 MiB per slot: 0.39 MiB at 4, 0.73 at 8, 1.11 at 12, 1.85 at 20,
+# against the 1.25 MiB that tests/test_grassmann.py allows.  Time stops
+# falling at about 8: comass_phi plus comass_never_exceed took 0.55 s at
+# width 1, 0.21 s at 4 and 0.18 s at 8, 12 and 20 (one pinned CPU of a
+# shared 2-core Xeon).
+_POOL_WIDTH = 8
+
+
+def _ascend(kernel, starts, iters, tol):
+    """Projected-gradient ascent from each orthonormal frame of `starts`,
+    with Barzilai-Borwein steps and a QR retraction.
 
     Each step moves along the projected gradient Gt = G - M sym(M^T G).  Its
     length is the BB2 step (s.y)/(y.y), with s = M_t - M_{t-1} and
@@ -479,35 +567,108 @@ def _ascend(kernel, M, iters, tol):
     gradient, so a step costs one gradient plus one value per trial (each
     kernel's docstring gives those costs).
 
-    Returns (value, frame, steps taken, stop reason): "tol" when |Gt| < tol,
-    "line_search" when the step falls below _STEP_FLOOR without an accepted
-    trial, "cap" after `iters` steps.  The value never decreases, so the
-    final frame is the best one visited.
+    The starts climb as one stack: a pool of up to _POOL_WIDTH live
+    restarts takes each step together, one batched gradient and one batched
+    value per line-search round, with each restart's step, Armijo test and
+    stop kept by masks.  A restart that stops leaves the pool and the next
+    start, in order, takes its place.  The kernels and every reduction work
+    frame by frame, so a restart's numbers do not depend on the others in
+    its stack.
+
+    Returns one (value, frame, steps taken, stop reason) per start, in
+    order: "tol" when |Gt| < tol, "line_search" when the step falls below
+    _STEP_FLOOR without an accepted trial, "cap" after `iters` steps.  The
+    value never decreases, so the final frame is the best one visited.
     """
-    f, state = kernel.value(M)
-    M_prev = Gt_prev = None
-    for t in range(iters):
-        Gt = _project(M, kernel.gradient(state))
-        gn2 = float((Gt * Gt).sum())
-        if math.sqrt(gn2) < tol:
-            return f, M, t, "tol"
-        step = 1.0
-        if Gt_prev is not None:
-            s, y = M - M_prev, Gt_prev - Gt
-            sy = float((s * y).sum())
-            if sy > 0:
-                step = min(max(sy / float((y * y).sum()), _STEP_RANGE[0]), _STEP_RANGE[1])
-        while True:
-            M2 = _retract(M + step * Gt)
-            f2, state2 = kernel.value(M2)
-            if f2 >= f + 1e-4 * step * gn2:
-                break
-            step *= 0.5
-            if step < _STEP_FLOOR:
-                return f, M, t, "line_search"
-        M_prev, Gt_prev = M, Gt
-        M, f, state = M2, f2, state2
-    return f, M, iters, "cap"
+    pending = enumerate(starts)
+    out = {}
+    # the pool: one row per live restart, in these arrays and in the kernel
+    # state of M.  Mp and Gp hold the previous frame and projected gradient;
+    # a new row starts with Mp = M, so its s = 0 gives it the unit first step
+    ids = np.zeros(0, dtype=int)
+    M = f = steps = Mp = Gp = state = None
+
+    def finish(rows, stop):
+        for i in np.flatnonzero(rows):
+            out[int(ids[i])] = (float(f[i]), M[i], int(steps[i]), stop)
+
+    def keep(rows):
+        nonlocal ids, M, f, steps, Mp, Gp, state
+        ids, M, f, steps, Mp, Gp = (x[rows] for x in (ids, M, f, steps, Mp, Gp))
+        state = tuple(x[rows] for x in state)
+
+    while True:
+        new = list(islice(pending, _POOL_WIDTH - len(ids)))
+        if new:
+            M0 = np.stack([m for _, m in new])
+            f0, st0 = kernel.value(M0)
+            steps0 = np.zeros(len(new), dtype=int)
+            if len(ids):
+                M, f, steps, Mp, Gp = (np.concatenate(x) for x in (
+                    (M, M0), (f, f0), (steps, steps0), (Mp, M0), (Gp, M0)))
+                state = tuple(np.concatenate(x) for x in zip(state, st0))
+            else:
+                M, f, steps, Mp, Gp, state = M0, f0, steps0, M0, M0, st0
+            ids = np.concatenate((ids, [r for r, _ in new]))
+        if not len(ids):
+            return [out[r] for r in range(len(out))]
+        done = steps == iters
+        if done.any():
+            finish(done, "cap")
+            keep(~done)
+            continue
+        G = kernel.gradient(state)
+        state = None  # the accepted trials bring the next one
+        Gt = _project(M, G)
+        gn2 = (Gt * Gt).sum(axis=(1, 2))
+        done = np.sqrt(gn2) < tol
+        if done.any():
+            finish(done, "tol")
+            ids, M, f, steps, Mp, Gp, Gt, gn2 = (x[~done] for x in (ids, M, f, steps, Mp, Gp, Gt, gn2))
+            if not len(ids):
+                continue
+        step = np.ones(len(ids))
+        y = Gp - Gt
+        sy = ((M - Mp) * y).sum(axis=(1, 2))
+        bb = sy > 0
+        if bb.any():
+            y = y[bb]
+            step[bb] = np.minimum(np.maximum(sy[bb] / (y * y).sum(axis=(1, 2)), _STEP_RANGE[0]), _STEP_RANGE[1])
+        M2, f2, state, done = _line_search(kernel, M, f, Gt, gn2, step)
+        finish(done, "line_search")
+        ids, M, f, steps, Mp, Gp = ids, M2, f2, steps + 1, M, Gt
+        if done.any():
+            keep(~done)
+
+
+def _line_search(kernel, M, f, Gt, gn2, step):
+    """The Armijo backtracking of one ascent step for every row of the pool.
+
+    Every row tries its step in one batched value; the rejected rows halve
+    theirs and try again, one batched value per round, until each accepts
+    or falls below _STEP_FLOOR.  A retried row's trial is written into the
+    first round's frame, value and state arrays.  Returns those arrays,
+    which hold a rejected trial on the failed rows, and the mask of failed
+    rows.  Overwrites `step`."""
+    M2 = _retract(M + step[:, None, None] * Gt)
+    f2, state = kernel.value(M2)
+    retry = np.flatnonzero(~(f2 >= f + 1e-4 * step * gn2))
+    failed = np.zeros(len(M), dtype=bool)
+    while len(retry):
+        step[retry] *= 0.5
+        low = step[retry] < _STEP_FLOOR
+        failed[retry[low]] = True
+        retry = retry[~low]
+        if not len(retry):
+            break
+        Mt = _retract(M[retry] + step[retry, None, None] * Gt[retry])
+        ft, st = kernel.value(Mt)
+        ok = ft >= f[retry] + 1e-4 * step[retry] * gn2[retry]
+        M2[retry[ok]], f2[retry[ok]] = Mt[ok], ft[ok]
+        for x, y in zip(state, st):
+            x[retry[ok]] = y[ok]
+        retry = retry[~ok]
+    return M2, f2, state, failed
 
 
 @dataclass(frozen=True)
@@ -549,10 +710,13 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
 
     Restart r starts from a Gaussian frame drawn from a generator seeded
     with (seed, r); no restart starts on a coordinate blade, so the best
-    value is one an ascent reached.  Each restart runs ``_ascend``:
+    value is one an ascent reached.  The restarts climb by ``_ascend``:
     Barzilai-Borwein steps with monotone Armijo backtracking and a QR
     retraction, for at most `iters` steps, stopping early when the projected
     gradient's norm drops below `tol` or the line search finds no ascent.
+    They climb as a stack, up to _POOL_WIDTH (8) at once and refilled in
+    restart order, which bounds the memory the kernel states take; each
+    restart's record is what it would be climbing alone.
 
     The kernel is chosen from the form alone.  A form equal term for term to
     ``catalog.spinor_pullback_phi()``, the grade-8 calibration, runs on
@@ -584,11 +748,10 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     n = form.n
     kernel = _search_kernel(form)
 
+    starts = (_retract(np.random.default_rng([seed, r]).standard_normal((n, k))) for r in range(restarts))
     best_f, best_M, best_r = -math.inf, None, -1
     records = []
-    for r in range(restarts):
-        M0 = _retract(np.random.default_rng([seed, r]).standard_normal((n, k)))
-        f, M, steps, stop = _ascend(kernel, M0, iters, tol)
+    for r, (f, M, steps, stop) in enumerate(_ascend(kernel, starts, iters, tol)):
         records.append(RestartRecord(value=f, iterations=steps, stop=stop))
         if f > best_f:
             best_f, best_M, best_r = f, M, r

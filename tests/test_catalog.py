@@ -163,6 +163,13 @@ class TestGradeEight:
         assert len(build_phi(J16)) == 294
         assert len(build_phi(W16)) == 294
 
+    def test_only_the_standard_form_is_cached(self):
+        # the other pairings and phases are read once per process, so they
+        # are rebuilt rather than kept
+        assert build_phi() is build_phi(STANDARD16, None)
+        assert build_phi(W16) is not build_phi(W16)
+        assert build_phi(W16) == build_phi(W16)
+
 
 class TestSpinorFamily:
     def test_norm_tables(self):

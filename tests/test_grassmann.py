@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -142,6 +144,124 @@ class TestSamplers:
             sample_group("so", 1)
         with pytest.raises(ValueError):
             sample_group("sp4", 1, n=4)
+
+
+def _loop_sample_group(kind, rng, n=8):
+    """The one-matrix-at-a-time sampler the stacked one replaced, kept as its
+    reference: same stream, same arithmetic, redraw at once."""
+    if kind in ("u", "su"):
+        while True:
+            Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+            Q, R = np.linalg.qr(Z)
+            d = np.diag(R)
+            if np.abs(d).min() > 1e-12:
+                break
+        Q = Q * (d / np.abs(d))
+        if kind == "su":
+            det = np.linalg.det(Q)
+            Q[:, 0] *= det.conjugate() / abs(det)
+        return Q
+    B = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) / math.sqrt(2)
+    A = (B - B.conj().T) / 2
+    A = (A + grassmann._SP_J @ A.conj() @ np.linalg.inv(grassmann._SP_J)) / 2
+    w, V = np.linalg.eigh(1j * A)
+    return (V * np.exp(-1j * w)) @ V.conj().T
+
+
+def _loop_plane(U, angles):
+    """The column-by-column normal-form frame, kept as the stacked one's
+    reference."""
+    cols = []
+    for m, t in enumerate(angles):
+        e_odd, e_even = U[:, 2 * m], U[:, 2 * m + 1]
+        cols.append(realify(e_odd))
+        cols.append(realify(1j * e_odd * math.cos(t) + e_even * math.sin(t)))
+    return np.column_stack(cols)
+
+
+class _SingularDraws:
+    """A generator whose standard-normal draws with the given 1-based call
+    numbers repeat their first column, so a complex Gaussian built from two
+    of them is singular.  Its state is the inner state plus the call count,
+    so a replay from a saved state sees the same draws."""
+
+    def __init__(self, seed, bad):
+        self._rng = np.random.default_rng(seed)
+        self._bad = bad
+        self._calls = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self._rng.bit_generator.state, self._calls
+
+    @state.setter
+    def state(self, value):
+        self._rng.bit_generator.state, self._calls = value
+
+    def standard_normal(self, shape):
+        self._calls += 1
+        x = self._rng.standard_normal(shape)
+        if self._calls in self._bad:
+            x[:, 1] = x[:, 0]
+        return x
+
+    def uniform(self, lo, hi):
+        return self._rng.uniform(lo, hi)
+
+
+class TestStackedSampler:
+    @pytest.mark.parametrize("kind,n", [("u", 8), ("su", 8), ("su", 4), ("sp4", 8)])
+    def test_stack_rows_equal_single_draws(self, kind, n):
+        (stack,) = grassmann._draw_groups(np.random.default_rng(7), 5, ((kind, n),))
+        singles, loop = np.random.default_rng(7), np.random.default_rng(7)
+        for row in stack:
+            assert np.array_equal(row, sample_group(kind, singles, n))
+            assert np.array_equal(row, _loop_sample_group(kind, loop, n))
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_frames_equal_the_one_sample_recipe(self, case):
+        # the loop reference reads the stream as gen_calibrated did sample by sample
+        rng = np.random.default_rng([3, case])
+        for p in gen_calibrated(case, 5, 3):
+            if case in (1, 2):
+                U = _loop_sample_group("su" if case == 1 else "u", rng)
+                assert np.array_equal(p.spec.matrix, U)
+            else:
+                U1, U2 = _loop_sample_group("su", rng, 4), _loop_sample_group("su", rng, 4)
+                D = np.block([[U1, np.zeros((4, 4))], [np.zeros((4, 4)), U2]])
+                if case == 3:
+                    t1, t2 = rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi / 2)
+                    assert p.meta["angles"] == [t1, t2]
+                    assert np.array_equal(p.frame, _loop_plane(D, (t1, t1, t2, t2)))
+                    continue
+                S = _loop_sample_group("sp4", rng)
+                assert p.meta["theta"] == rng.uniform(0.05, math.pi / 2 - 0.05)
+                assert np.array_equal(p.spec.matrix, D @ S)
+            assert np.array_equal(p.frame, realize(p.spec))
+            assert np.array_equal(p.frame, _loop_plane(p.spec.matrix, p.spec.angles))
+
+    def test_singular_gaussian_is_reported_by_the_core(self):
+        rng = np.random.default_rng(11)
+        Z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        Z[1, :, 1] = Z[1, :, 0]
+        Q, singular = grassmann._unitary(Z, "su")
+        assert Q is None
+        assert singular.tolist() == [False, True, False]
+
+    def test_singular_gaussian_is_redrawn_before_the_next_draw(self):
+        # draws 3-4 build sample 0's second basis and draws 9-10 sample 1's
+        # second, both singular: each is redrawn before any later draw
+        layout = (("su", 4), ("su", 4), ("uniform", 0, 1), ("uniform", 0, 1))
+        bad = {3, 4, 9, 10}
+        got = grassmann._draw_groups(_SingularDraws(5, bad), 3, layout)
+        loop = _SingularDraws(5, bad)
+        for b in range(3):
+            want = (_loop_sample_group("su", loop, 4), _loop_sample_group("su", loop, 4),
+                    loop.uniform(0, 1), loop.uniform(0, 1))
+            for stack, w in zip(got, want):
+                assert np.array_equal(stack[b], w)
+        assert loop.state[1] == 16
 
 
 class TestCalibratedFamilies:
@@ -571,6 +691,57 @@ class TestSearchKernels:
             ("0x1.ffffffffffb9fp-1", 4, "tol"),
             ("0x1.ffffffffffe08p-1", 4, "tol"),
         ]
+
+    # SHA-256 of repr([(value.hex(), iterations, stop), ...]) over the restart
+    # records of comass_search(PHI, 20, 300, seed=s), as the one-restart-at-a-
+    # time ascent gave them; restart 19 stops at the cap at seeds 1 and 3
+    PHI_RECORD_DIGESTS = (
+        "c9824b51e024f1c2419e35dbf0db7eda8d7ddd9e46f656ebef94fb7b7f0b481a",
+        "b5896985a7bd72e3ea3755295a0f3828c5f4372617f4e66f88e821098712c361",
+        "2561bed04368fe96fa40e9a25a7719e13176254a8921691edaa0fe3f47b859bb",
+        "a62bd6943725d6907d07528a6b614c4524f6d17eba094be302cbb52ef9df80d8",
+        "3a7945a39e27ce73ac0f98e47d15aebcecf945059b1fda75f05abfcd6e49b074",
+        "3c831ea22d6294a55f411a9c0583be982ee648e7797b6a29d5324fd55fc7dcac",
+    )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_phi_search_records_are_pinned(self, seed):
+        rep = comass_search(PHI, 20, 300, seed=seed)
+        records = [(r.value.hex(), r.iterations, r.stop) for r in rep.restart_records]
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == self.PHI_RECORD_DIGESTS[seed]
+
+    @pytest.mark.parametrize("name,seed,iters,tol", [
+        ("phi", 3, 300, SEARCH_TOL),    # tol stops and one cap, more starts than the pool
+        ("cayley", 0, 8, 0.0),          # line-search stops and caps on the det kernel
+    ])
+    def test_a_restart_climbs_alone_as_in_its_stack(self, name, seed, iters, tol):
+        form = catalog()[name].form
+        kernel = grassmann._search_kernel(form)
+        starts = [grassmann._retract(np.random.default_rng([seed, r]).standard_normal((form.n, form.grade())))
+                  for r in range(grassmann._POOL_WIDTH + 12)]
+        together = grassmann._ascend(kernel, starts, iters, tol)
+        stops = set()
+        for M0, (value, frame, steps, stop) in zip(starts, together, strict=True):
+            ((value1, frame1, steps1, stop1),) = grassmann._ascend(kernel, [M0], iters, tol)
+            assert (value.hex(), steps, stop) == (value1.hex(), steps1, stop1)
+            assert np.array_equal(frame, frame1)
+            stops.add(stop)
+        assert stops == ({"tol", "cap"} if name == "phi" else {"line_search", "cap"})
+
+    def test_search_and_sampler_memory_stay_in_budget(self):
+        # tracemalloc peaks, after a warm-up that builds the kernels: 0.17 and
+        # 0.29 MiB one restart and one sample at a time, 0.73 and 0.93 MiB
+        # stacked at a pool of 8; a 20-wide pool read 3.98 MiB
+        comass_search(PHI, 1, 1)
+        gen_calibrated(4, 1, 0)
+        for run in (lambda: comass_search(PHI, 20, 300), lambda: gen_calibrated(4, 100, 0)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * 2**20
 
     def test_spinor_path_search_is_pinned(self):
         # the value, step count and stop of each restart, as the search gave
