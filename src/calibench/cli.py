@@ -448,9 +448,9 @@ def _chk_spinor_kernel(seed):
     d_value = d_grad = 0.0
     for _ in range(20):
         M = grassmann._retract(rng.standard_normal((16, 8)))
-        f, state = kernel.value(M)
+        (f,), state = kernel.value(M[None])
         d_value = max(d_value, abs(f - forms.evaluate(phi, M)))
-        diff = grassmann._project(M, kernel.gradient(state) - grassmann.frame_gradient(phi, M))
+        diff = grassmann._project(M, kernel.gradient(state)[0] - grassmann.frame_gradient(phi, M))
         d_grad = max(d_grad, float(np.abs(diff).max()))
     ok = kernel.name == "clifford" and d_value <= 1e-12 and d_grad <= 1e-12
     measured = f"{kernel.name} kernel: value {_fmt(d_value)}, projected gradient {_fmt(d_grad)}"

@@ -113,10 +113,10 @@ class CliffordKernel:
     only P holds less memory per frame), 14 more 16x16 products and two
     batched ones.
 
-    ``M`` is one 16 x k frame, with a float value and a 16 x k gradient, or a
-    stack (B, 16, k), with B values and a (B, 16, k) gradient; every product
-    runs per frame with the frame's own shapes, so each frame's numbers are
-    bit for bit those of the frame alone.
+    ``M`` is a stack (B, 16, k) of frames, with B values and a (B, 16, k)
+    gradient; a single frame is a stack of one.  Every product runs per
+    frame with the frame's own shapes, so each frame's numbers are bit for
+    bit those of the frame in a stack of one.
 
     This is the Euclidean gradient of the multilinear extension, which
     differs from the per-term cofactor gradient by M S with S symmetric; the
@@ -161,8 +161,6 @@ class CliffordKernel:
         for j in reversed(range(L.shape[-3])):
             P[..., j, :, :] = X
             X = _rho_apply(L[..., j, :, :], Rt[..., j, :, :], X)
-        if X.ndim == 2:
-            return float(np.vdot(self.w, X)), (M, P)
         return np.array([np.vdot(self.w, x) for x in X]), (M, P)
 
     def gradient(self, state):

@@ -401,9 +401,9 @@ class DetKernel:
     batched det; its state (M, dets) gives ``gradient`` the cofactor sums at
     one batched inverse of the slabs, gathered again from M.
 
-    ``M`` is one (n, k) frame, with a float value and an (n, k) gradient, or
-    a stack (B, n, k) of frames, with B values and a (B, n, k) gradient.
-    Each frame's numbers are bit for bit those of the frame alone."""
+    ``M`` is a stack (B, n, k) of frames, with B values and a (B, n, k)
+    gradient; a single frame is a stack of one.  Each frame's numbers are
+    bit for bit those of the frame in a stack of one."""
 
     name = "det"
 
@@ -452,18 +452,15 @@ class DetKernel:
 
     def _pieces(self, M):
         """Slices of a (B, n, k) stack into pieces of at most _SLAB_ENTRIES
-        slab entries."""
-        step = max(1, _SLAB_ENTRIES // (self.rows.size * self.rows.shape[1]))
+        slab entries; a grade-0 form's frames have none, and share a piece."""
+        step = max(1, _SLAB_ENTRIES // max(1, self.rows.size * self.rows.shape[1]))
         return [slice(i, i + step) for i in range(0, len(M), step)]
 
     def value(self, M):
-        if M.ndim == 2:
-            dets = np.linalg.det(self._slabs(M))
-            return float(self.coeffs @ dets), (M, dets)
         dets = np.concatenate([np.linalg.det(self._slabs(M[p])) for p in self._pieces(M)])
-        # one product per frame on its own contiguous row of dets: a single
-        # (B, T) @ (T,) product, or one on a strided row, sums in another order
-        return np.array([self.coeffs @ d for d in dets]), (M, dets)
+        # one dot per frame on its own contiguous row of dets, as coeffs @ d
+        # takes it: a single (B, T) @ (T,) product sums in another order
+        return np.vecdot(dets, self.coeffs), (M, dets)
 
     def gradient(self, state):
         """Cofactor sums scattered onto an n x k gradient per frame: entry
@@ -471,8 +468,6 @@ class DetKernel:
         order by one bincount per piece over the flat indices
         (frame * n + row) * k + col."""
         M, dets = state
-        if M.ndim == 2:
-            return self._gradient(M[None], dets[None])[0]
         return np.concatenate([self._gradient(M[p], dets[p]) for p in self._pieces(M)])
 
     def _gradient(self, M, dets):
@@ -503,7 +498,7 @@ def evaluate(a, vectors):
         return 0.0
     live = M.any(axis=1)
     if np.count_nonzero(live) > M.shape[1]:
-        return kernel.value(M)[0]
+        return float(kernel.value(M[None])[0][0])
     c = a._terms.get(int.from_bytes(np.packbits(live, bitorder="little"), "little"))
     return 0.0 if c is None else float(c) * float(np.linalg.det(M[live])) + 0.0
 

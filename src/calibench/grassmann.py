@@ -21,12 +21,13 @@ The module also carries the Federer diagonal product of a middle-degree
 form (two exact routes that must agree), the 4x4 minor identities of the
 split frame rows, and a projected-gradient ascent over the Stiefel manifold
 for comass lower bounds, run on the form's float view ``forms.DetKernel`` or
-on the calibration's spinor kernel ``clifford.CliffordKernel``.  The
-restarts of a search climb together, a pool of ``_POOL_WIDTH`` (8) at a
-time, each kernel call batched over the pool; the width is sized by memory,
-since each live restart holds its kernel state.  Every stacked computation
-works frame by frame, so each sample and each restart record is bit for bit
-what it would be alone.
+on the calibration's spinor kernel ``clifford.CliffordKernel``; both
+kernels take stacks of frames.  The restarts of a search climb together, a
+pool of ``_POOL_WIDTH`` (8) at a time, in one loop of rounds with one
+batched kernel value and at most one batched gradient per round; the width
+is sized by memory, since each live restart holds its kernel state for the
+round.  Every stacked computation works frame by frame, so each sample and
+each restart record is bit for bit what it would be alone.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from calibench.catalog import (
     spinor_pullback_matrix,
     spinor_pullback_phi,
 )
-from calibench.forms import DetKernel, evaluate, wedge
+from calibench.forms import DetKernel, evaluate, hodge_star, inner_product, wedge
 
 __all__ = [
     "NormalFormSpec",
@@ -506,7 +507,7 @@ def frame_gradient(form, M):
     kernel, M = DetKernel.for_frame(form, M)
     if kernel is None:
         return np.zeros(M.shape)
-    return kernel.gradient(kernel.value(M)[1])
+    return kernel.gradient(kernel.value(M[None])[1])[0]
 
 
 def _retract(X):
@@ -546,11 +547,11 @@ _STEP_FLOOR = 1e-14
 # the calibration's Clifford kernel a live restart holds 16 KiB of partial
 # products, and a gradient passes about four such arrays per restart through
 # numpy, so the tracemalloc peak of comass_search(Phi, 20, 300) grows by
-# ~0.09 MiB per slot: 0.39 MiB at 4, 0.73 at 8, 1.11 at 12, 1.85 at 20,
+# ~0.09 MiB per slot: 0.32 MiB at 4, 0.68 at 8, 1.05 at 12, 1.79 at 20,
 # against the 1.25 MiB that tests/test_grassmann.py allows.  Time stops
-# falling at about 8: comass_phi plus comass_never_exceed took 0.55 s at
-# width 1, 0.21 s at 4 and 0.18 s at 8, 12 and 20 (one pinned CPU of a
-# shared 2-core Xeon).
+# falling at about 8: comass_phi plus comass_never_exceed took 0.30 s at
+# width 1, 0.20 s at 4 and 0.12-0.14 s at 8, 12 and 20 (minimum of 7 warm
+# runs on one pinned CPU of a shared 2-core Xeon).
 _POOL_WIDTH = 8
 
 
@@ -562,18 +563,20 @@ def _ascend(kernel, starts, iters, tol):
     length is the BB2 step (s.y)/(y.y), with s = M_t - M_{t-1} and
     y = Gt_{t-1} - Gt_t, clamped to _STEP_RANGE, or 1 on the first step and
     whenever s.y <= 0; it is halved until the monotone Armijo condition
-    f(M') >= f(M) + 1e-4 step |Gt|^2 holds.  `kernel` gives each trial's
-    value with a state, and the accepted trial's state feeds the next
-    gradient, so a step costs one gradient plus one value per trial (each
-    kernel's docstring gives those costs).
+    f(M') >= f(M) + 1e-4 step |Gt|^2 holds.  A step costs one kernel value
+    per trial and one gradient at the trial it keeps (each kernel's
+    docstring gives those costs).
 
-    The starts climb as one stack: a pool of up to _POOL_WIDTH live
-    restarts takes each step together, one batched gradient and one batched
-    value per line-search round, with each restart's step, Armijo test and
-    stop kept by masks.  A restart that stops leaves the pool and the next
-    start, in order, takes its place.  The kernels and every reduction work
-    frame by frame, so a restart's numbers do not depend on the others in
-    its stack.
+    The starts climb as one stack, a pool of up to _POOL_WIDTH live
+    restarts, in one loop of rounds.  Every live restart has exactly one
+    trial frame pending, and a start is a trial that is always kept.  A
+    round takes one batched value of all the trials, keeps or rejects each
+    by its Armijo test, takes one batched gradient at the kept trials, and
+    retracts the next trial of every row: a fresh step from a kept trial, a
+    halved one after a rejected trial.  A kernel's state lives only in its
+    round.  A restart that stops leaves the pool and the next start, in
+    order, takes its place.  The kernels and every reduction work frame by
+    frame, so a restart's numbers do not depend on the others in its stack.
 
     Returns one (value, frame, steps taken, stop reason) per start, in
     order: "tol" when |Gt| < tol, "line_search" when the step falls below
@@ -582,93 +585,53 @@ def _ascend(kernel, starts, iters, tol):
     """
     pending = enumerate(starts)
     out = {}
-    # the pool: one row per live restart, in these arrays and in the kernel
-    # state of M.  Mp and Gp hold the previous frame and projected gradient;
-    # a new row starts with Mp = M, so its s = 0 gives it the unit first step
-    ids = np.zeros(0, dtype=int)
-    M = f = steps = Mp = Gp = state = None
-
-    def finish(rows, stop):
-        for i in np.flatnonzero(rows):
-            out[int(ids[i])] = (float(f[i]), M[i], int(steps[i]), stop)
-
-    def keep(rows):
-        nonlocal ids, M, f, steps, Mp, Gp, state
-        ids, M, f, steps, Mp, Gp = (x[rows] for x in (ids, M, f, steps, Mp, Gp))
-        state = tuple(x[rows] for x in state)
+    # the pool: one row per live restart, its trial T and its frame M, value
+    # f, projected gradient Gt with gn2 = |Gt|^2, and step.  A new row enters
+    # with T = M = its start, Gt = 0 and steps = -1: keeping the start counts
+    # as step 0, and its s = T - M = 0 gives it the unit first step
+    ids, steps = np.zeros((2, 0), dtype=int)
+    f, gn2, step = np.zeros((3, 0))
+    T = M = Gt = None
 
     while True:
         new = list(islice(pending, _POOL_WIDTH - len(ids)))
         if new:
-            M0 = np.stack([m for _, m in new])
-            f0, st0 = kernel.value(M0)
-            steps0 = np.zeros(len(new), dtype=int)
-            if len(ids):
-                M, f, steps, Mp, Gp = (np.concatenate(x) for x in (
-                    (M, M0), (f, f0), (steps, steps0), (Mp, M0), (Gp, M0)))
-                state = tuple(np.concatenate(x) for x in zip(state, st0))
-            else:
-                M, f, steps, Mp, Gp, state = M0, f0, steps0, M0, M0, st0
-            ids = np.concatenate((ids, [r for r, _ in new]))
+            T0 = np.stack([m for _, m in new])
+            if T is None:
+                T = M = Gt = T0[:0]
+            zero = np.zeros(len(new))
+            ids, steps, f, gn2, step, T, M, Gt = (np.concatenate(x) for x in zip(
+                (ids, steps, f, gn2, step, T, M, Gt),
+                ([r for r, _ in new], np.full(len(new), -1), zero, zero, zero, T0, T0, np.zeros_like(T0))))
         if not len(ids):
             return [out[r] for r in range(len(out))]
-        done = steps == iters
-        if done.any():
-            finish(done, "cap")
-            keep(~done)
-            continue
-        G = kernel.gradient(state)
-        state = None  # the accepted trials bring the next one
-        Gt = _project(M, G)
-        gn2 = (Gt * Gt).sum(axis=(1, 2))
-        done = np.sqrt(gn2) < tol
-        if done.any():
-            finish(done, "tol")
-            ids, M, f, steps, Mp, Gp, Gt, gn2 = (x[~done] for x in (ids, M, f, steps, Mp, Gp, Gt, gn2))
-            if not len(ids):
-                continue
-        step = np.ones(len(ids))
-        y = Gp - Gt
-        sy = ((M - Mp) * y).sum(axis=(1, 2))
-        bb = sy > 0
-        if bb.any():
+        fT, state = kernel.value(T)
+        kept = (steps < 0) | (fT >= f + 1e-4 * step * gn2)
+        steps += kept
+        step[~kept] *= 0.5
+        grad = kept & (steps < iters)
+        live = np.where(kept, grad, step >= _STEP_FLOOR)
+        g = slice(None) if grad.all() else grad  # a slice takes views, not copies
+        s = T[g] - M[g]
+        M[kept], f[kept] = T[kept], fT[kept]
+        if grad.any():
+            Gn = _project(M[g], kernel.gradient(tuple(x[g] for x in state)))
+            y = Gt[g] - Gn
+            sy = (s * y).sum(axis=(1, 2))
+            Gt[g], gn2[g] = Gn, (Gn * Gn).sum(axis=(1, 2))
+            live[g] = ~(np.sqrt(gn2[g]) < tol)
+            bb = sy > 0
             y = y[bb]
-            step[bb] = np.minimum(np.maximum(sy[bb] / (y * y).sum(axis=(1, 2)), _STEP_RANGE[0]), _STEP_RANGE[1])
-        M2, f2, state, done = _line_search(kernel, M, f, Gt, gn2, step)
-        finish(done, "line_search")
-        ids, M, f, steps, Mp, Gp = ids, M2, f2, steps + 1, M, Gt
-        if done.any():
-            keep(~done)
-
-
-def _line_search(kernel, M, f, Gt, gn2, step):
-    """The Armijo backtracking of one ascent step for every row of the pool.
-
-    Every row tries its step in one batched value; the rejected rows halve
-    theirs and try again, one batched value per round, until each accepts
-    or falls below _STEP_FLOOR.  A retried row's trial is written into the
-    first round's frame, value and state arrays.  Returns those arrays,
-    which hold a rejected trial on the failed rows, and the mask of failed
-    rows.  Overwrites `step`."""
-    M2 = _retract(M + step[:, None, None] * Gt)
-    f2, state = kernel.value(M2)
-    retry = np.flatnonzero(~(f2 >= f + 1e-4 * step * gn2))
-    failed = np.zeros(len(M), dtype=bool)
-    while len(retry):
-        step[retry] *= 0.5
-        low = step[retry] < _STEP_FLOOR
-        failed[retry[low]] = True
-        retry = retry[~low]
-        if not len(retry):
-            break
-        Mt = _retract(M[retry] + step[retry, None, None] * Gt[retry])
-        ft, st = kernel.value(Mt)
-        ok = ft >= f[retry] + 1e-4 * step[retry] * gn2[retry]
-        M2[retry[ok]], f2[retry[ok]] = Mt[ok], ft[ok]
-        for x, y in zip(state, st):
-            x[retry[ok]] = y[ok]
-        retry = retry[~ok]
-    return M2, f2, state, failed
+            bb_step = np.ones(len(sy))
+            bb_step[bb] = np.minimum(np.maximum(sy[bb] / (y * y).sum(axis=(1, 2)), _STEP_RANGE[0]), _STEP_RANGE[1])
+            step[g] = bb_step
+        del state  # no kernel state outlives its round
+        if not live.all():
+            for i in np.flatnonzero(~live):
+                stop = "tol" if grad[i] else "cap" if kept[i] else "line_search"
+                out[int(ids[i])] = (float(f[i]), M[i].copy(), int(steps[i]), stop)
+            ids, steps, f, gn2, step, M, Gt = (x[live] for x in (ids, steps, f, gn2, step, M, Gt))
+        T = _retract(M + step[:, None, None] * Gt)
 
 
 @dataclass(frozen=True)
@@ -716,7 +679,9 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     gradient's norm drops below `tol` or the line search finds no ascent.
     They climb as a stack, up to _POOL_WIDTH (8) at once and refilled in
     restart order, which bounds the memory the kernel states take; each
-    restart's record is what it would be climbing alone.
+    round takes one batched value of every restart's pending trial and one
+    batched gradient at the kept trials, and each restart's record is what
+    it would be climbing alone.
 
     The kernel is chosen from the form alone.  A form equal term for term to
     ``catalog.spinor_pullback_phi()``, the grade-8 calibration, runs on
@@ -732,7 +697,9 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     largest absolute coefficient, which is the value of the form on its best
     coordinate blade and so a lower bound of the comass.  For middle-degree
     forms it also carries the ratio of the wedge-square volume coefficient
-    to the squared best value.
+    to the squared best value; that coefficient is read as <form, *form>,
+    which equals (form ^ form)_vol for every k-form on R^{2k} (both are 0
+    for odd k).
     """
     k = form.grade()
     if k is None:
@@ -758,7 +725,7 @@ def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=No
     max_coeff = max(abs(float(c)) for c in form.terms().values())
     wirt = None
     if n == 2 * k:
-        sq = wedge(form, form).coefficient(tuple(range(1, n + 1)))
+        sq = inner_product(form, hodge_star(form))
         wirt = abs(float(sq)) / best_f**2 if best_f else None
     return ComassReport(
         form_name=name,

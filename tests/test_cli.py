@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -350,7 +351,9 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_verify_all_reports_are_byte_identical_across_processes(tmp_path):
-    # the whole suite at its own sizes, twice, each in a fresh interpreter
+    # the whole suite at its own sizes, twice, each in a fresh interpreter;
+    # the SHA-256 pins the seed-0 report, so a change that moves any reported
+    # number or byte fails here
     paths = [tmp_path / f"report{i}.json" for i in range(2)]
     for path in paths:
         proc = _python("-m", "calibench.cli", "verify", "--suite", "all", "--seed", "0", "--json", str(path),
@@ -360,6 +363,8 @@ def test_verify_all_reports_are_byte_identical_across_processes(tmp_path):
     assert len(doc["checks"]) == 40
     assert all(c["status"] == "pass" for c in doc["checks"])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    digest = hashlib.sha256(paths[0].read_bytes()).hexdigest()
+    assert digest == "48987cbb88a6b8f61cec0f083105117a08069b3dbb91afc44f526b073e2f7059"
 
 
 def test_comass_unknown_form(capsys):

@@ -339,7 +339,10 @@ class TestEvaluate:
             got = evaluate(f, np.zeros((3, 0)))
             assert type(got) is float and got == want
             kernel, M = DetKernel.for_frame(f, np.zeros((3, 0)))
-            assert kernel.gradient(kernel.value(M)[1]).shape == (3, 0)
+            assert kernel.gradient(kernel.value(M[None])[1]).shape == (1, 3, 0)
+            values, state = kernel.value(np.zeros((2, 3, 0)))
+            assert values.tolist() == [want, want]
+            assert kernel.gradient(state).shape == (2, 3, 0)
 
     def test_zero_rows_drop_only_zero_terms(self):
         # random forms on R^n, n <= 8, on frames with randomly zeroed rows or
