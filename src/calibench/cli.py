@@ -435,7 +435,7 @@ def _chk_gradient(seed):
         G = grassmann.frame_gradient(f, M)
         D = rng.standard_normal((f.n, k))
         D /= np.linalg.norm(D)
-        fd = (grassmann.frame_value(f, M + h * D) - grassmann.frame_value(f, M - h * D)) / (2 * h)
+        fd = (forms.evaluate(f, M + h * D) - forms.evaluate(f, M - h * D)) / (2 * h)
         an = float((G * D).sum())
         worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
     return _fmt(worst), "< 1e-06", 1e-6, worst < 1e-6

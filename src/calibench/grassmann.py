@@ -12,9 +12,9 @@ structure).  theta_1 <= theta_2 <= theta_3 in [0, pi/2], theta_4 in
 family 3 uses the same recipe on a block-diagonal basis diag(U1, U2) with
 angles (t1, t1, t2, t2), one calibrated 4-plane per C^4 factor.
 ``gen_calibrated`` builds its samples as one stack: it reads the random
-stream sample by sample, as a loop of ``sample_group`` calls would, then
-runs the QR, phase and determinant fixes, ``eigh`` and the frame recipe once
-per family on the whole stack; ``sample_group`` and ``realize`` are the
+stream once, sample by sample, as a loop of ``sample_group`` calls would,
+then runs the QR, phase and determinant fixes, ``eigh`` and the frame recipe
+once per family on the whole stack; ``sample_group`` and ``realize`` are the
 one-sample case of that code.
 
 The module also carries the Federer diagonal product of a middle-degree
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
@@ -174,14 +173,15 @@ _SP_J = np.kron(np.eye(4), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 def _unitary(Z, kind):
     """Unitary matrices from a stack of complex Gaussian matrices Z: the QR
     factor Q with the phases of R's diagonal moved into it; for "su" the
-    first column also takes the conjugate phase of det(Q).  Returns (Q,
-    singular), or (None, singular) when some Z[b] has |R_ii| <= 1e-12 and
-    must be redrawn.  Membership residuals are asserted below 1e-10."""
+    first column also takes the conjugate phase of det(Q).  A singular draw
+    (some |R_ii| <= 1e-12, probability ~1e-24 per draw) raises
+    AssertionError naming its sample, as do membership residuals above
+    1e-10."""
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R, axis1=-2, axis2=-1)
     singular = ~(np.abs(d).min(axis=-1) > 1e-12)
     if singular.any():
-        return None, singular
+        raise AssertionError(f"singular Gaussian draw at sample {int(np.argmax(singular))}")
     Q = Q * (d / np.abs(d))[:, None, :]
     if kind == "su":
         # one scalar division per matrix: an array division rounds differently
@@ -189,9 +189,9 @@ def _unitary(Z, kind):
             q[:, 0] *= det.conjugate() / abs(det)
         if (np.abs(np.linalg.det(Q) - 1) > _UNITARY_RESIDUAL).any():
             raise AssertionError("determinant correction failed")
-    if (_residual(Q.conj().swapaxes(-1, -2) @ Q - np.eye(Q.shape[-1])) > _UNITARY_RESIDUAL).any():
+    if (np.linalg.norm(Q.conj().swapaxes(-1, -2) @ Q - np.eye(Q.shape[-1]), axis=(-2, -1)) > _UNITARY_RESIDUAL).any():
         raise AssertionError("unitary residual too large")
-    return Q, singular
+    return Q
 
 
 def _symplectic(B):
@@ -204,18 +204,13 @@ def _symplectic(B):
     # exp(A) for skew-Hermitian A, from the Hermitian eigensystem of iA
     w, V = np.linalg.eigh(1j * A)
     S = (V * np.exp(-1j * w)[:, None, :]) @ V.conj().swapaxes(-1, -2)
-    if (_residual(S.swapaxes(-1, -2) @ _SP_J @ S - _SP_J) > _UNITARY_RESIDUAL).any():
+    if (np.linalg.norm(S.swapaxes(-1, -2) @ _SP_J @ S - _SP_J, axis=(-2, -1)) > _UNITARY_RESIDUAL).any():
         raise AssertionError("symplectic residual too large")
-    if (_residual(S.conj().swapaxes(-1, -2) @ S - np.eye(8)) > _UNITARY_RESIDUAL).any():
+    if (np.linalg.norm(S.conj().swapaxes(-1, -2) @ S - np.eye(8), axis=(-2, -1)) > _UNITARY_RESIDUAL).any():
         raise AssertionError("unitary residual too large")
     if (np.abs(np.linalg.det(S) - 1) > _UNITARY_RESIDUAL).any():
         raise AssertionError("symplectic sample must have determinant one")
     return S
-
-
-def _residual(X):
-    """Frobenius norm of each matrix of a stack."""
-    return np.linalg.norm(X, axis=(-2, -1))
 
 
 def _draw_groups(rng, count, layout):
@@ -223,49 +218,40 @@ def _draw_groups(rng, count, layout):
 
     An entry is ("u", n), ("su", n) or ("sp4", 8), a group sampled from an
     n x n complex Gaussian matrix, or ("uniform", lo, hi), a float.  The
-    random stream is read sample by sample, entry by entry, as a loop of
-    ``sample_group`` and ``rng.uniform`` calls would read it; only the linear
-    algebra runs on the stacks.  A u or su Gaussian with |R_ii| <= 1e-12 is
-    redrawn at once, before any later draw: the stacked QR finds the first
-    such draw, and the stream is read again from the start with one more
-    draw discarded at that place.
+    random stream is read once, sample by sample, entry by entry, as a loop
+    of ``sample_group`` and ``rng.uniform`` calls would read it; only the
+    linear algebra runs on the stacks.  Nothing is redrawn: a singular u or
+    su Gaussian raises AssertionError in ``_unitary``.
     """
-    start = rng.bit_generator.state
-    discards = Counter()
-    while True:
-        drawn = [[] for _ in layout]
-        for b in range(count):
-            for j, (kind, *args) in enumerate(layout):
-                if kind == "uniform":
-                    drawn[j].append(rng.uniform(*args))
-                    continue
+    drawn = [[] for _ in layout]
+    for _ in range(count):
+        for x, (kind, *args) in zip(drawn, layout):
+            if kind == "uniform":
+                x.append(rng.uniform(*args))
+            else:
                 n = args[0]
-                for _ in range(discards[b, j] + 1):
-                    Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-                drawn[j].append(Z)
-        out, redraws = [], []
-        for j, ((kind, *_), x) in enumerate(zip(layout, drawn)):
-            x = np.array(x)
-            if kind in ("u", "su"):
-                x, singular = _unitary(x, kind)
-                if x is None:
-                    redraws.append((int(np.argmax(singular)), j))
-            elif kind == "sp4":
-                x = _symplectic(x)
-            out.append(x)
-        if not redraws:
-            return out
-        discards[min(redraws)] += 1
-        rng.bit_generator.state = start
+                x.append((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2))
+    out = []
+    for (kind, *_), x in zip(layout, drawn):
+        x = np.array(x)
+        if kind in ("u", "su"):
+            x = _unitary(x, kind)
+        elif kind == "sp4":
+            x = _symplectic(x)
+        out.append(x)
+    return out
 
 
 def sample_group(kind, rng, n=8):
-    """Draw a matrix from u(nitary), su (determinant one) or sp4 (compact
-    symplectic, 8x8).  `rng` is an integer seed or a numpy Generator.
-    Membership residuals are asserted below 1e-10.  The one-sample case of
+    """Draw an n x n matrix from u(nitary), su (determinant one) or sp4
+    (compact symplectic, 8x8).  `rng` is an integer seed or a numpy
+    Generator.  Membership residuals are asserted below 1e-10, and a
+    singular Gaussian draw raises AssertionError.  The one-sample case of
     the stacked sampler behind ``gen_calibrated``."""
     if kind not in ("u", "su", "sp4"):
         raise ValueError(f"unknown group kind {kind!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if kind == "sp4" and n != 8:
         raise ValueError("sp4 lives in dimension 8")
     return _draw_groups(np.random.default_rng(rng), 1, ((kind, n),))[0][0]
@@ -303,9 +289,14 @@ def gen_calibrated(case, count, seed):
        calibrated 4-plane per C^4 factor.
     4: common angle in (0, pi/2) on a block-diagonal determinant-one basis
        composed with a compact symplectic matrix.
+
+    The samples come from one pass over the stream seeded with (seed, case);
+    a singular Gaussian draw raises AssertionError.
     """
     if case not in (1, 2, 3, 4):
         raise ValueError("case must be 1, 2, 3 or 4")
+    if count < 0:
+        raise ValueError("count must be >= 0")
     if count == 0:
         return []
     rng = np.random.default_rng([seed, case])
@@ -497,7 +488,9 @@ def federer_eval(form):
 
 
 def frame_value(form, M):
-    """Value of the form on the columns of M (same as evaluate)."""
+    """Value of the form on the columns of M: ``evaluate`` under another
+    name.  No check calls it; it stays because the benchmark times and
+    traces it, until the benchmark moves to ``evaluate``."""
     return evaluate(form, M)
 
 

@@ -367,6 +367,20 @@ def test_verify_all_reports_are_byte_identical_across_processes(tmp_path):
     assert digest == "48987cbb88a6b8f61cec0f083105117a08069b3dbb91afc44f526b073e2f7059"
 
 
+# SHA-256 of run_suite("numeric", seed).to_json(): the plane sampler feeds
+# eight numeric checks, and other seeds reach other draws
+NUMERIC_REPORT_DIGESTS = {
+    1: "135deafdad8fc0fddeca8d898f2d2114e3af04d7da38fff88b2de2fbab49718e",
+    2: "20cbcd1012a1e35cf1e61a8292629e9d98b00391c94ed38acd9e8f21f453628d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(NUMERIC_REPORT_DIGESTS))
+def test_numeric_reports_are_pinned_beyond_seed_0(seed):
+    report = run_suite("numeric", seed).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == NUMERIC_REPORT_DIGESTS[seed]
+
+
 def test_comass_unknown_form(capsys):
     assert main(["comass", "--form", "nope"]) == 2
     assert "unknown form" in capsys.readouterr().err

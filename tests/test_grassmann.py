@@ -144,18 +144,20 @@ class TestSamplers:
             sample_group("so", 1)
         with pytest.raises(ValueError):
             sample_group("sp4", 1, n=4)
+        for kind in ("u", "su"):
+            for n in (0, -1):
+                with pytest.raises(ValueError, match="n must be >= 1"):
+                    sample_group(kind, 0, n=n)
 
 
 def _loop_sample_group(kind, rng, n=8):
     """The one-matrix-at-a-time sampler the stacked one replaced, kept as its
-    reference: same stream, same arithmetic, redraw at once."""
+    reference: same stream, same arithmetic, one draw per matrix."""
     if kind in ("u", "su"):
-        while True:
-            Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-            Q, R = np.linalg.qr(Z)
-            d = np.diag(R)
-            if np.abs(d).min() > 1e-12:
-                break
+        Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+        Q, R = np.linalg.qr(Z)
+        d = np.diag(R)
+        assert np.abs(d).min() > 1e-12
         Q = Q * (d / np.abs(d))
         if kind == "su":
             det = np.linalg.det(Q)
@@ -181,28 +183,19 @@ def _loop_plane(U, angles):
 
 class _SingularDraws:
     """A generator whose standard-normal draws with the given 1-based call
-    numbers repeat their first column, so a complex Gaussian built from two
-    of them is singular.  Its state is the inner state plus the call count,
-    so a replay from a saved state sees the same draws."""
+    numbers (all of them for None) repeat their first column, so a complex
+    Gaussian built from two of them is singular."""
 
-    def __init__(self, seed, bad):
-        self._rng = np.random.default_rng(seed)
+    def __init__(self, seed, bad=None):
+        # default_rng(seed) spelt out: a test patches default_rng to build this
+        self._rng = np.random.Generator(np.random.PCG64(seed))
         self._bad = bad
         self._calls = 0
-        self.bit_generator = self
-
-    @property
-    def state(self):
-        return self._rng.bit_generator.state, self._calls
-
-    @state.setter
-    def state(self, value):
-        self._rng.bit_generator.state, self._calls = value
 
     def standard_normal(self, shape):
         self._calls += 1
         x = self._rng.standard_normal(shape)
-        if self._calls in self._bad:
+        if self._bad is None or self._calls in self._bad:
             x[:, 1] = x[:, 0]
         return x
 
@@ -245,23 +238,26 @@ class TestStackedSampler:
         rng = np.random.default_rng(11)
         Z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
         Z[1, :, 1] = Z[1, :, 0]
-        Q, singular = grassmann._unitary(Z, "su")
-        assert Q is None
-        assert singular.tolist() == [False, True, False]
+        with pytest.raises(AssertionError, match="singular Gaussian draw at sample 1"):
+            grassmann._unitary(Z, "su")
 
-    def test_singular_gaussian_is_redrawn_before_the_next_draw(self):
-        # draws 3-4 build sample 0's second basis and draws 9-10 sample 1's
-        # second, both singular: each is redrawn before any later draw
+    @pytest.mark.parametrize("bad,sample", [({9, 10}, 2), (None, 0)])
+    def test_singular_gaussian_raises_after_one_pass(self, bad, sample):
+        # draws 9-10 build sample 2's first basis; None makes every draw
+        # singular.  Either way the stream is read once (3 samples x 2 bases x
+        # 2 draws) and nothing is redrawn
         layout = (("su", 4), ("su", 4), ("uniform", 0, 1), ("uniform", 0, 1))
-        bad = {3, 4, 9, 10}
-        got = grassmann._draw_groups(_SingularDraws(5, bad), 3, layout)
-        loop = _SingularDraws(5, bad)
-        for b in range(3):
-            want = (_loop_sample_group("su", loop, 4), _loop_sample_group("su", loop, 4),
-                    loop.uniform(0, 1), loop.uniform(0, 1))
-            for stack, w in zip(got, want):
-                assert np.array_equal(stack[b], w)
-        assert loop.state[1] == 16
+        rng = _SingularDraws(5, bad)
+        with pytest.raises(AssertionError, match=f"singular Gaussian draw at sample {sample}$"):
+            grassmann._draw_groups(rng, 3, layout)
+        assert rng._calls == 12
+
+    @pytest.mark.parametrize("bad", [{1, 2}, None])
+    def test_gen_calibrated_raises_on_a_singular_draw(self, bad, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _SingularDraws(seed, bad))
+        for case in (1, 2, 3, 4):
+            with pytest.raises(AssertionError, match="singular Gaussian draw at sample 0"):
+                gen_calibrated(case, 4, seed=0)
 
 
 class TestCalibratedFamilies:
@@ -310,6 +306,9 @@ class TestCalibratedFamilies:
             gen_calibrated(5, 1, seed=0)
         with pytest.raises(ValueError):
             gen_calibrated(5, 0, seed=0)
+        for case in (1, 4):
+            with pytest.raises(ValueError, match="count must be >= 0"):
+                gen_calibrated(case, -2, seed=0)
 
     def test_fixed_seed_reproduces(self):
         a = gen_calibrated(4, 3, seed=9)
