@@ -208,6 +208,23 @@ def test_planes_verb_output(case, capsys):
     assert capsys.readouterr().out == first
 
 
+# SHA-256 of `planes --case c --count 10 --seed 3` stdout: pins the family-1
+# and family-4 spec matrices and the family-3 basis metadata, which no verify
+# report prints
+PLANES_DIGESTS = {
+    1: "15801da9d9d98ea56d997e0f323dc7a57281d22df569493d27da5cd789f7cf6b",
+    2: "bc0efae3af148d026648bb5e7362912daf9c3b6f0a0093ebf9dabda218eccbec",
+    3: "d58e30126db8e3fe31f9f841c07857ca5c3b61ea8e704cf9a332f7711d585368",
+    4: "2d5165761cd221dc96aee1fb19b3539af767bcc934d9b8e05d80e42cad090c82",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANES_DIGESTS))
+def test_planes_verb_output_is_pinned(case, capsys):
+    assert main(["planes", "--case", str(case), "--count", "10", "--seed", "3"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PLANES_DIGESTS[case]
+
+
 def test_comass_verb(capsys):
     code = main(["comass", "--form", "omega1", "--restarts", "4", "--iters", "100", "--seed", "0"])
     assert code == 0

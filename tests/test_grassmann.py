@@ -206,7 +206,9 @@ class _SingularDraws:
 class TestStackedSampler:
     @pytest.mark.parametrize("kind,n", [("u", 8), ("su", 8), ("su", 4), ("sp4", 8)])
     def test_stack_rows_equal_single_draws(self, kind, n):
-        (stack,) = grassmann._draw_groups(np.random.default_rng(7), 5, ((kind, n),))
+        rng = np.random.default_rng(7)
+        Z = np.array([grassmann._gaussian(rng, n) for _ in range(5)])
+        stack = grassmann._symplectic(Z) if kind == "sp4" else grassmann._unitary(Z, kind)
         singles, loop = np.random.default_rng(7), np.random.default_rng(7)
         for row in stack:
             assert np.array_equal(row, sample_group(kind, singles, n))
@@ -242,15 +244,20 @@ class TestStackedSampler:
             grassmann._unitary(Z, "su")
 
     @pytest.mark.parametrize("bad,sample", [({9, 10}, 2), (None, 0)])
-    def test_singular_gaussian_raises_after_one_pass(self, bad, sample):
-        # draws 9-10 build sample 2's first basis; None makes every draw
-        # singular.  Either way the stream is read once (3 samples x 2 bases x
-        # 2 draws) and nothing is redrawn
-        layout = (("su", 4), ("su", 4), ("uniform", 0, 1), ("uniform", 0, 1))
-        rng = _SingularDraws(5, bad)
+    def test_singular_gaussian_raises_after_one_pass(self, bad, sample, monkeypatch):
+        # family 3: draws 9-10 build sample 2's first basis; None makes every
+        # draw singular.  Either way the stream is read once (3 samples x 2
+        # bases x 2 draws) and nothing is redrawn
+        fakes = []
+
+        def fake_rng(seed):
+            fakes.append(_SingularDraws(seed, bad))
+            return fakes[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", fake_rng)
         with pytest.raises(AssertionError, match=f"singular Gaussian draw at sample {sample}$"):
-            grassmann._draw_groups(rng, 3, layout)
-        assert rng._calls == 12
+            gen_calibrated(3, 3, seed=5)
+        assert len(fakes) == 1 and fakes[0]._calls == 12
 
     @pytest.mark.parametrize("bad", [{1, 2}, None])
     def test_gen_calibrated_raises_on_a_singular_draw(self, bad, monkeypatch):
