@@ -2,27 +2,3 @@
 calibration form on R^16 and the structures underneath it (exterior algebra,
 octonions, a Clifford spinor transfer, calibrated plane families, and a
 Stiefel comass search)."""
-
-from calibench.forms import (
-    ComplexForm,
-    RealForm,
-    alternation,
-    evaluate,
-    hodge_star,
-    inner_product,
-    pullback,
-    wedge,
-)
-
-__all__ = [
-    "RealForm",
-    "ComplexForm",
-    "wedge",
-    "hodge_star",
-    "inner_product",
-    "evaluate",
-    "alternation",
-    "pullback",
-]
-
-__version__ = "0.1.0"

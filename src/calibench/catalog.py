@@ -103,8 +103,8 @@ class ComplexPairing:
         return ComplexPairing(self.n, self.pairs[lo:hi])
 
 
-def _std_pairs(n_complex, offset=0):
-    return tuple((offset + 2 * j + 1, offset + 2 * j + 2, 1, 1) for j in range(n_complex))
+def _std_pairs(n_complex):
+    return tuple((2 * j + 1, 2 * j + 2, 1, 1) for j in range(n_complex))
 
 
 STANDARD8 = ComplexPairing(8, _std_pairs(4))

@@ -379,7 +379,7 @@ def _chk_minor_identities(seed):
     worst_mixed = 0.0
     worst_beta = -1.0
     for _ in range(100):
-        U = grassmann.sample_group("u", rng)
+        U = grassmann.sample_unitary(rng)
         angles = tuple(sorted(float(a) for a in rng.uniform(0, math.pi / 2, 4)))
         rep = grassmann.minor_identity_check(grassmann.NormalFormSpec(U, angles))
         worst_res = max(worst_res, rep.max_residual)
@@ -393,7 +393,7 @@ def _chk_minor_identities(seed):
 def _normal_form(rng):
     """A random unitary basis with sorted acute angles; half the time the
     last angle is redrawn in [theta_3, pi]."""
-    U = grassmann.sample_group("u", rng)
+    U = grassmann.sample_unitary(rng)
     th = np.sort(rng.uniform(0, math.pi / 2, 4))
     if rng.uniform() < 0.5:
         th[3] = rng.uniform(th[2], math.pi)

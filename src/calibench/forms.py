@@ -234,9 +234,6 @@ class RealForm:
     def __eq__(self, other):
         return isinstance(other, RealForm) and self.n == other.n and self._terms == other._terms
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
-
     def __add__(self, other):
         if not isinstance(other, RealForm) or other.n != self.n:
             return NotImplemented
@@ -569,19 +566,15 @@ class ComplexForm:
     def __mul__(self, scalar):
         return ComplexForm(self.re * scalar, self.im * scalar)
 
-    def __eq__(self, other):
-        return isinstance(other, ComplexForm) and self.re == other.re and self.im == other.im
-
     def __repr__(self):
         return f"ComplexForm(re={self.re!r}, im={self.im!r})"
 
 
 def cwedge(a, b):
-    """Wedge of complex forms, complex-bilinear."""
+    """Wedge of complex forms, complex-bilinear; the left operand may be a
+    RealForm."""
     if isinstance(a, RealForm):
         a = ComplexForm(a)
-    if isinstance(b, RealForm):
-        b = ComplexForm(b)
     return ComplexForm(
         wedge(a.re, b.re) - wedge(a.im, b.im),
         wedge(a.re, b.im) + wedge(a.im, b.re),

@@ -12,9 +12,10 @@ structure).  theta_1 <= theta_2 <= theta_3 in [0, pi/2], theta_4 in
 family 3 uses the same recipe on a block-diagonal basis diag(U1, U2) with
 angles (t1, t1, t2, t2), one calibrated 4-plane per C^4 factor.
 ``gen_calibrated`` writes one sample's draws as a tuple in stream order and
-reads the random stream once, sample by sample, as a loop of
-``sample_group`` calls would; the QR, phase and determinant fixes, ``eigh``
-and the frame recipe then run once per stack.  ``sample_group`` and
+reads the random stream once, sample by sample: each sample takes its
+``_gaussian`` draws (one 8x8, or two 4x4 and, for family 4, one 8x8), then
+family 3's or 4's angles; the QR, phase and determinant fixes, ``eigh`` and
+the frame recipe then run once per stack.  ``sample_unitary`` and
 ``realize`` are the one-sample case of that code.
 
 The module also carries the Federer diagonal product of a middle-degree
@@ -60,7 +61,7 @@ __all__ = [
     "realify",
     "realize",
     "kaehler_angles",
-    "sample_group",
+    "sample_unitary",
     "gen_calibrated",
     "calibration_value_closed",
     "symplectic_row_value",
@@ -218,21 +219,10 @@ def _symplectic(B):
     return S
 
 
-def sample_group(kind, rng, n=8):
-    """Draw an n x n matrix from u(nitary), su (determinant one) or sp4
-    (compact symplectic, 8x8).  `rng` is an integer seed or a numpy
-    Generator.  One ``_gaussian`` draw goes to ``_unitary`` or
-    ``_symplectic`` as a stack of one, the code ``gen_calibrated`` runs on
-    its stacks; membership residuals are asserted below 1e-10, and a
-    singular Gaussian draw raises AssertionError."""
-    if kind not in ("u", "su", "sp4"):
-        raise ValueError(f"unknown group kind {kind!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind == "sp4" and n != 8:
-        raise ValueError("sp4 lives in dimension 8")
-    Z = _gaussian(np.random.default_rng(rng), n)[None]
-    return (_symplectic(Z) if kind == "sp4" else _unitary(Z, kind))[0]
+def sample_unitary(rng):
+    """One 8x8 unitary matrix from one ``_gaussian`` draw of the numpy
+    Generator `rng`, through ``_unitary`` as a stack of one."""
+    return _unitary(_gaussian(rng, 8)[None], "u")[0]
 
 
 # calibrated plane families ----------------------------------------------------

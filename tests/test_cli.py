@@ -208,6 +208,11 @@ def test_planes_verb_output(case, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_planes_verb_accepts_a_zero_count(capsys):
+    assert main(["planes", "--case", "1", "--count", "0", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["planes"] == []
+
+
 # SHA-256 of `planes --case c --count 10 --seed 3` stdout: pins the family-1
 # and family-4 spec matrices and the family-3 basis metadata, which no verify
 # report prints

@@ -29,7 +29,7 @@ from calibench.grassmann import (
     minor_identity_check,
     realify,
     realize,
-    sample_group,
+    sample_unitary,
     symplectic_row_value,
 )
 
@@ -37,7 +37,7 @@ PHI = build_phi()
 
 
 def random_spec(rng, obtuse=False):
-    U = sample_group("u", rng)
+    U = sample_unitary(rng)
     t = np.sort(rng.uniform(0, math.pi / 2, size=3))
     t4 = rng.uniform(math.pi / 2, math.pi) if obtuse else rng.uniform(t[2], math.pi / 2)
     return NormalFormSpec(U, (float(t[0]), float(t[1]), float(t[2]), float(t4)))
@@ -124,30 +124,17 @@ class TestKaehlerAngles:
 class TestSamplers:
     def test_unitary_and_special(self):
         rng = np.random.default_rng(0)
-        U = sample_group("u", rng)
+        U = sample_unitary(rng)
         assert np.linalg.norm(U.conj().T @ U - np.eye(8)) < 1e-10
-        S = sample_group("su", rng, n=4)
+        S = grassmann._unitary(grassmann._gaussian(rng, 4)[None], "su")[0]
         assert abs(np.linalg.det(S) - 1) < 1e-10
 
     def test_symplectic_relations(self):
-        S = sample_group("sp4", 7)
+        S = grassmann._symplectic(grassmann._gaussian(np.random.default_rng(7), 8)[None])[0]
         J = grassmann._SP_J
         assert np.linalg.norm(S.T @ J @ S - J) < 1e-10
         assert np.linalg.norm(S.conj().T @ S - np.eye(8)) < 1e-10
         assert abs(np.linalg.det(S) - 1) < 1e-10
-
-    def test_integer_seed_is_deterministic(self):
-        assert (sample_group("u", 5) == sample_group("u", 5)).all()
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            sample_group("so", 1)
-        with pytest.raises(ValueError):
-            sample_group("sp4", 1, n=4)
-        for kind in ("u", "su"):
-            for n in (0, -1):
-                with pytest.raises(ValueError, match="n must be >= 1"):
-                    sample_group(kind, 0, n=n)
 
 
 def _loop_sample_group(kind, rng, n=8):
@@ -211,7 +198,9 @@ class TestStackedSampler:
         stack = grassmann._symplectic(Z) if kind == "sp4" else grassmann._unitary(Z, kind)
         singles, loop = np.random.default_rng(7), np.random.default_rng(7)
         for row in stack:
-            assert np.array_equal(row, sample_group(kind, singles, n))
+            z = grassmann._gaussian(singles, n)[None]
+            single = grassmann._symplectic(z) if kind == "sp4" else grassmann._unitary(z, kind)
+            assert np.array_equal(row, single[0])
             assert np.array_equal(row, _loop_sample_group(kind, loop, n))
 
     @pytest.mark.parametrize("case", [1, 2, 3, 4])
@@ -355,7 +344,7 @@ def test_angle_pairs_complement_by_xor_one():
 def test_minor_identity_report():
     rng = np.random.default_rng(31)
     for _ in range(10):
-        rep = minor_identity_check(NormalFormSpec(sample_group("u", rng), (0.2, 0.3, 0.4, 0.5)))
+        rep = minor_identity_check(NormalFormSpec(sample_unitary(rng), (0.2, 0.3, 0.4, 0.5)))
         assert rep.max_residual < 1e-10
         assert rep.mixed_residual < 1e-10
         assert rep.beta_value <= 1.0 + 1e-12
@@ -482,6 +471,8 @@ class TestComassSearch:
             comass_search(RealForm(4, {(1,): 1, (1, 2): 1}))
         with pytest.raises(ValueError):
             comass_search(RealForm(4, {0: 1}))
+        with pytest.raises(ValueError, match="homogeneous nonzero form"):
+            comass_search(RealForm(4), 1, 1)
         with pytest.raises(ValueError):
             comass_search(RealForm.blade(4, (1, 2)), restarts=0)
         with pytest.raises(ValueError):
