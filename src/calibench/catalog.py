@@ -187,8 +187,9 @@ def build_cayley():
     """
 
     def from_chain():
-        def T(x1, x2, x3, x4):
-            return conjugation_chain([Octonion(x1), Octonion(x2), Octonion(x3), Octonion(x4)]).real()
+        # alternation passes basis vectors only, so each argument is one unit
+        def T(*xs):
+            return conjugation_chain([Octonion.basis(x.index(1)) for x in xs]).real()
 
         return alternation(T, 4, 8)
 

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 import time
 from collections import Counter
@@ -88,7 +89,7 @@ def _basis():
 
 
 def _chk_octonion_table(seed):
-    ok = octonion.MULT_TABLE == octonion._oracle_table()
+    ok = octonion.MULT_TABLE == octonion.oracle_table()
     return ("equal" if ok else "differs"), "equal", 0.0, ok
 
 
@@ -161,14 +162,24 @@ def _chk_octonion_chain(seed):
     return (f"chain={q.co}"[:40] if not ok else "1 and -i"), "1 and -i", 0.0, ok
 
 
-def _chk_octonion_norm_composition(seed):
-    rng = np.random.default_rng([seed, 6])
-    bad = 0
+def _rational_pairs(seed):
+    """The 1000 coordinate pairs octonion_norm_composition reads: 16 draws per
+    pair, by ``random.Random`` seeded with the string
+    "octonion_norm_composition <seed>", from the 171 quotients a/b with a in
+    -9..9 and b in 1..9, so each draw is a uniform numerator over a uniform
+    denominator."""
+    rng = random.Random(f"octonion_norm_composition {seed}")
+    quotients = [Fraction(a, b) for b in range(1, 10) for a in range(-9, 10)]
     for _ in range(1000):
-        nums = rng.integers(-9, 10, size=16)
-        dens = rng.integers(1, 10, size=16)
-        x = octonion.Octonion([Fraction(int(a), int(b)) for a, b in zip(nums[:8], dens[:8])])
-        y = octonion.Octonion([Fraction(int(a), int(b)) for a, b in zip(nums[8:], dens[8:])])
+        co = rng.choices(quotients, k=16)
+        yield co[:8], co[8:]
+
+
+def _chk_octonion_norm_composition(seed):
+    """|xy|^2 = |x|^2 |y|^2 on the rational pairs of ``_rational_pairs``."""
+    bad = 0
+    for cx, cy in _rational_pairs(seed):
+        x, y = octonion.Octonion(cx), octonion.Octonion(cy)
         if (x * y).norm_sq() != x.norm_sq() * y.norm_sq():
             bad += 1
     return str(bad), "0", 0.0, bad == 0
@@ -207,12 +218,19 @@ def _chk_clifford_volume8(seed):
     return ("diag(id,-id)" if ok else "differs"), "diag(id,-id)", 0.0, bool(ok)
 
 
+def _roundtrip_blades(seed):
+    """The 50 blades clifford_roundtrip reads.  Blade i has size i mod 17, so
+    every size 0..16 comes up at every seed, and its indices are drawn from
+    1..16 by ``random.Random`` seeded with the string "clifford_roundtrip <seed>"."""
+    rng = random.Random(f"clifford_roundtrip {seed}")
+    for i in range(50):
+        yield tuple(sorted(rng.sample(range(1, 17), i % 17)))
+
+
 def _chk_clifford_roundtrip(seed):
-    rng = np.random.default_rng([seed, 8])
+    """endo_to_form(rep16(I)) = E_I on the blades of ``_roundtrip_blades``."""
     bad = 0
-    for _ in range(50):
-        k = int(rng.integers(0, 17))
-        idx = tuple(sorted(int(i) for i in rng.choice(np.arange(1, 17), size=k, replace=False)))
+    for idx in _roundtrip_blades(seed):
         M = clifford.rep16(idx)
         if clifford.endo_to_form(M) != forms.RealForm.blade(16, idx):
             bad += 1
@@ -554,7 +572,7 @@ _NUMERIC_CHECKS = (
 )
 
 
-def run_suite(selection="all", seed=0):
+def run_suite(selection, seed):
     """Run the selected checks and collect a SuiteReport.
 
     Exact checks use rational arithmetic end to end; numeric checks carry

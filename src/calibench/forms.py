@@ -506,20 +506,24 @@ def alternation(T, k, n):
     ``T`` takes k basis-vector arguments (each a length-n tuple with a single
     1 entry) and returns an exact scalar.  The result has coefficients
     (1/k!) sum_sigma sign(sigma) T(e_{I sigma}) on each increasing I, which
-    is the classical alternation operator restricted to basis tuples.
+    is the classical alternation operator restricted to basis tuples.  Int
+    values are summed as ints, other values pass ``_exact`` (so floats are
+    refused), and each nonzero blade becomes one Fraction at the end.
     """
     basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     perms = [(perm_sign(p), p) for p in itertools.permutations(range(k))]
     fact = math.factorial(k)
     terms = {}
     for combo in itertools.combinations(range(n), k):
-        total = Fraction(0)
+        total = 0
         vecs = [basis[i] for i in combo]
         for sgn, p in perms:
-            val = _exact(T(*[vecs[j] for j in p]))
+            val = T(*[vecs[j] for j in p])
+            if type(val) is not int:
+                val = _exact(val)
             total += val if sgn > 0 else -val
         if total:
-            terms[blade_mask(tuple(i + 1 for i in combo))] = total / fact
+            terms[blade_mask(tuple(i + 1 for i in combo))] = Fraction(total, fact)
     return RealForm._own(n, terms)
 
 

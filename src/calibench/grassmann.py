@@ -635,7 +635,7 @@ class ComassReport:
         return d
 
 
-def comass_search(form, restarts=200, iters=500, tol=SEARCH_TOL, seed=0, name=None):
+def comass_search(form, restarts, iters, tol=SEARCH_TOL, seed=0, name=None):
     """Projected-gradient ascent over orthonormal k-frames, multi-restart.
 
     Restart r starts from a Gaussian frame drawn from a generator seeded

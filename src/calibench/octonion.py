@@ -1,9 +1,14 @@
 """Octonion arithmetic over exact rationals.
 
-Coordinates are ints or Fractions.  A product puts each factor over the lcm
-of its coordinates' denominators, sums the 64 table products in Python ints
-and divides once per coordinate, so products of integer octonions (the basis
-and every chain built from it) stay ints throughout.
+An octonion keeps the pair it was built from: the lcm ``d`` of its
+coordinates' denominators and the eight int numerators over ``d``, computed
+once, when the octonion is made.  A product sums the 64 table products of
+the two factors' numerators in Python ints and keeps the result over the
+product of their denominators, unreduced, as sums and differences do;
+``inner`` and ``norm_sq`` divide once, and ``==`` cross-multiplies.  None
+of these reads ``co``: the coordinates become Fractions only when ``co`` is
+read, and then once per octonion.  Integer octonions (the basis and every
+chain built from it) have ``d == 1`` and int coordinates throughout.
 
 Basis order: 1, i, j, k, e, ie, je, ke (indices 0..7).  The table is built
 from the quaternion table plus the doubling rules
@@ -13,8 +18,8 @@ from the quaternion table plus the doubling rules
 
 for quaternions a, b.  These extend the four displayed unit rules bilinearly
 and are cross-checked, entry by entry, against an independent recursive
-Cayley-Dickson oracle (R -> C -> H -> O); the ``octonion_table`` check of
-``calibench verify`` makes that comparison.
+Cayley-Dickson oracle (R -> C -> H -> O, ``oracle_table``); the
+``octonion_table`` check of ``calibench verify`` makes that comparison.
 
 The right-multiplication chain Q and the alternating conjugation chain P live
 here too; the calibration catalog consumes them.
@@ -24,10 +29,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 __all__ = [
     "Octonion",
     "MULT_TABLE",
+    "oracle_table",
     "chain_product",
     "conjugation_chain",
 ]
@@ -128,17 +135,19 @@ def _cd_to_coords(t):
     return _cd_to_coords(t[0]) + _cd_to_coords(t[1])
 
 
-def _oracle_table():
+def oracle_table():
+    """The 8x8 (sign, index) table by Cayley-Dickson doubling of the int unit
+    coordinates, independent of ``MULT_TABLE``'s construction."""
     tab = []
     for a in range(8):
         row = []
         for b in range(8):
-            ca = [Fraction(int(a == m)) for m in range(8)]
-            cb = [Fraction(int(b == m)) for m in range(8)]
+            ca = [int(a == m) for m in range(8)]
+            cb = [int(b == m) for m in range(8)]
             prod = _cd_to_coords(_cd_mul(_cd_from_coords(ca), _cd_from_coords(cb)))
             nz = [(m, v) for m, v in enumerate(prod) if v]
             assert len(nz) == 1 and abs(nz[0][1]) == 1
-            row.append((int(nz[0][1]), nz[0][0]))
+            row.append((nz[0][1], nz[0][0]))
         tab.append(tuple(row))
     return tuple(tab)
 
@@ -146,34 +155,52 @@ def _oracle_table():
 class Octonion:
     """Octonion with int or Fraction coordinates in the basis 1,i,j,k,e,ie,je,ke.
 
-    Products and inner products use one common denominator per factor (see
-    the module docstring).  An int and its Fraction twin compare and hash
-    equal, so an octonion equals its Fraction twin.
+    The octonion is held as its denominator pair (see the module docstring);
+    ``co`` is built from the pair on first read, except for an octonion made
+    from coordinates, which keeps those as given.  An int and its Fraction
+    twin compare and hash equal, so an octonion equals its Fraction twin.
     """
 
-    __slots__ = ("co",)
+    __slots__ = ("_d", "_x", "_co")
 
     def __init__(self, coords):
-        co = tuple(_coord(c) for c in coords)
+        co = tuple(map(_coord, coords))
         if len(co) != 8:
             raise ValueError("need 8 coordinates")
-        self.co = co
+        self._co = co
+        dens = [c.denominator for c in co]
+        d = lcm(*dens)
+        self._d = d
+        self._x = tuple([c.numerator * (d // e) for c, e in zip(co, dens)])
 
     @classmethod
-    def _own(cls, co):
-        """A new octonion that owns ``co`` (8 int/Fraction coordinates) as is."""
-        x = object.__new__(cls)
-        x.co = co
-        return x
+    def _pair(cls, d, x):
+        """A new octonion with numerators ``x`` (8 ints) over ``d`` >= 1."""
+        o = object.__new__(cls)
+        o._d, o._x, o._co = d, x, (x if d == 1 else None)
+        return o
 
     @staticmethod
     def basis(i):
         if i not in range(8):
             raise ValueError(f"basis index must be in 0..7, got {i!r}")
-        return Octonion._own(_UNITS[i])
+        return Octonion._pair(1, _UNITS[i])
+
+    @property
+    def co(self):
+        """The 8 coordinates: ints when the denominator is 1, else Fractions."""
+        if self._co is None:
+            d = self._d
+            self._co = tuple(Fraction(v, d) for v in self._x)
+        return self._co
 
     def __eq__(self, other):
-        return isinstance(other, Octonion) and self.co == other.co
+        if not isinstance(other, Octonion):
+            return False
+        da, db = self._d, other._d
+        if da == db:
+            return self._x == other._x
+        return all(a * db == b * da for a, b in zip(self._x, other._x))
 
     def __hash__(self):
         return hash(self.co)
@@ -181,54 +208,51 @@ class Octonion:
     def __add__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion._own(tuple(a + b for a, b in zip(self.co, other.co)))
+        da, db = self._d, other._d
+        return Octonion._pair(da * db, tuple(a * db + b * da for a, b in zip(self._x, other._x)))
 
     def __sub__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion._own(tuple(a - b for a, b in zip(self.co, other.co)))
+        return self + -other
 
     def __neg__(self):
-        return Octonion._own(tuple(-a for a in self.co))
+        return Octonion._pair(self._d, tuple(-a for a in self._x))
 
     def scale(self, s):
         s = _coord(s)
-        return Octonion._own(tuple(s * a for a in self.co))
+        return Octonion._pair(self._d * s.denominator, tuple(s.numerator * a for a in self._x))
 
     def __mul__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        da, xa = _numerators(self.co)
-        db, xb = _numerators(other.co)
         # sparse double loop; basis products are single table lookups
-        nzb = [(b, cb) for b, cb in enumerate(xb) if cb]
+        nzb = [(b, cb) for b, cb in enumerate(other._x) if cb]
         out = [0] * 8
-        for a, ca in enumerate(xa):
+        for a, ca in enumerate(self._x):
             if ca:
                 row = MULT_TABLE[a]
                 for b, cb in nzb:
                     s, c = row[b]
                     out[c] += ca * cb if s > 0 else -ca * cb
-        d = da * db
-        return Octonion._own(tuple(out) if d == 1 else tuple(Fraction(v, d) for v in out))
+        return Octonion._pair(self._d * other._d, tuple(out))
 
     def conj(self):
-        return Octonion._own((self.co[0],) + tuple(-c for c in self.co[1:]))
+        x = self._x
+        return Octonion._pair(self._d, (x[0],) + tuple(-c for c in x[1:]))
 
     def inner(self, other):
         if not isinstance(other, Octonion):
             raise TypeError(f"inner product needs an Octonion, not {type(other).__name__}")
-        da, xa = _numerators(self.co)
-        db, xb = _numerators(other.co)
-        v = sum(a * b for a, b in zip(xa, xb))
-        d = da * db
+        v = sum(map(mul, self._x, other._x))
+        d = self._d * other._d
         return v if d == 1 else Fraction(v, d)
 
     def norm_sq(self):
         return self.inner(self)
 
     def real(self):
-        return self.co[0]
+        return self._x[0] if self._d == 1 else Fraction(self._x[0], self._d)
 
     def __repr__(self):
         parts = [f"{c}*{BASIS_NAMES[m]}" for m, c in enumerate(self.co) if c]
@@ -246,15 +270,6 @@ def _coord(c):
     if isinstance(c, float):
         raise TypeError("octonion coordinates must be exact (int/Fraction), not float")
     return Fraction(c)
-
-
-def _numerators(co):
-    """(d, nums): d is the lcm of the coordinates' denominators and nums are
-    the int numerators over d."""
-    if all(type(c) is int for c in co):
-        return 1, co
-    d = lcm(*[c.denominator for c in co])
-    return d, [c.numerator * (d // c.denominator) for c in co]
 
 
 def chain_product(xs):

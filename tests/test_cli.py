@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from calibench import catalog as cat
-from calibench import cli, clifford, forms, grassmann
+from calibench import cli, clifford, forms, grassmann, octonion
 from calibench.catalog import catalog
 from calibench.cli import (
     SCHEMA_VERSION,
@@ -124,7 +124,7 @@ def test_check_bodies_take_only_the_seed():
 
 def test_selection_is_validated():
     with pytest.raises(ValueError):
-        run_suite("fast")
+        run_suite("fast", 0)
 
 
 def test_failing_check_flips_overall(monkeypatch):
@@ -354,6 +354,38 @@ def test_federer_float_check_fails_on_a_float_mismatch(monkeypatch):
     monkeypatch.setattr(grassmann, "federer_eval", lambda form: 0.0)
     measured, _expected, _tol, ok = cli._chk_federer_float(0)
     assert not ok, measured
+
+
+def test_norm_composition_check_fails_on_a_flipped_table_sign(monkeypatch):
+    table = [list(row) for row in octonion.MULT_TABLE]
+    s, c = table[1][2]
+    table[1][2] = (-s, c)
+    monkeypatch.setattr(octonion, "MULT_TABLE", tuple(tuple(row) for row in table))
+    measured, _expected, _tol, ok = cli._chk_octonion_norm_composition(0)
+    assert not ok and int(measured) > 0, measured
+
+
+def test_roundtrip_check_fails_on_a_perturbed_extraction(monkeypatch):
+    extract = clifford.endo_to_form
+
+    def without_reversion_sign(M):
+        # blades of size 2 or 3 mod 4 come back negated
+        f = extract(M)
+        return -f if f.grade() % 4 in (2, 3) else f
+
+    monkeypatch.setattr(clifford, "endo_to_form", without_reversion_sign)
+    measured, _expected, _tol, ok = cli._chk_clifford_roundtrip(0)
+    assert not ok and int(measured) > 0, measured
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_draws_cover_every_denominator_and_blade_size(seed):
+    pairs = list(cli._rational_pairs(seed))
+    assert len(pairs) == 1000 and all(len(cx) == len(cy) == 8 for cx, cy in pairs)
+    assert {c.denominator for cx, cy in pairs for c in cx + cy} == set(range(1, 10))
+    blades = list(cli._roundtrip_blades(seed))
+    assert len(blades) == 50 and {len(b) for b in blades} == set(range(17))
+    assert all(list(b) == sorted(set(b)) and set(b) <= set(range(1, 17)) for b in blades)
 
 
 def _python(*args, timeout):

@@ -468,17 +468,17 @@ class TestComassSearch:
 
     def test_rejects_inhomogeneous_and_scalar_forms(self):
         with pytest.raises(ValueError):
-            comass_search(RealForm(4, {(1,): 1, (1, 2): 1}))
+            comass_search(RealForm(4, {(1,): 1, (1, 2): 1}), 1, 1)
         with pytest.raises(ValueError):
-            comass_search(RealForm(4, {0: 1}))
+            comass_search(RealForm(4, {0: 1}), 1, 1)
         with pytest.raises(ValueError, match="homogeneous nonzero form"):
             comass_search(RealForm(4), 1, 1)
         with pytest.raises(ValueError):
-            comass_search(RealForm.blade(4, (1, 2)), restarts=0)
+            comass_search(RealForm.blade(4, (1, 2)), restarts=0, iters=1)
         with pytest.raises(ValueError):
-            comass_search(RealForm.blade(4, (1, 2)), tol=-1)
+            comass_search(RealForm.blade(4, (1, 2)), 1, 1, tol=-1)
         with pytest.raises(ValueError):
-            comass_search(RealForm.blade(4, (1, 2)), iters=-3)
+            comass_search(RealForm.blade(4, (1, 2)), restarts=1, iters=-3)
 
     def test_report_serializes(self):
         keys = {"form_name", "best_value", "best_restart", "best_frame",

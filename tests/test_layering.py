@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import calibench
@@ -29,3 +32,14 @@ def test_only_the_cli_imports_catalog_builders():
     found = [f"{f}:{line} {mod}.{name}" for f, line, mod, name in _imports_from_calibench()
              if mod == "calibench.catalog" and name.startswith("build_") and f not in ("catalog.py", "cli.py")]
     assert not found, found
+
+
+def test_exact_suite_leaves_numpy_random_out():
+    # the exact lane draws its inputs from the standard library's random
+    script = ("import sys; from calibench import cli; rep = cli.run_suite('exact', 0); "
+              "print(rep.passed, 'numpy.random' in sys.modules)")
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]

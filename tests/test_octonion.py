@@ -101,6 +101,9 @@ class TestCommonDenominator:
         for x, y in _seeded_pairs(11, 300, _mixed):
             dens.update(Fraction(c).denominator for c in x.co)
             assert (x * y).co == _oracle_mul(x, y)
+            # the product keeps its unreduced denominator, the rebuilt one the lcm
+            rebuilt = Octonion(_oracle_mul(x, y))
+            assert x * y == rebuilt and hash(x * y) == hash(rebuilt)
             assert x.inner(y) == _oracle_inner(x, y)
             assert x.norm_sq() == _oracle_inner(x, x)
         assert len(dens) == 12
