@@ -294,6 +294,7 @@ def _projection_tables():
 
 
 _BOUND = 1 << 55  # 256 * |entry| stays below 2^63
+_BOUND32 = 1 << 23  # below it, 256 * |entry| stays below 2^31
 
 
 def endo_to_form(A):
@@ -307,17 +308,21 @@ def endo_to_form(A):
     nonzero entries of H are read, each named by its blade.  Takes an
     integer dtype with entries |a| < 2^55, so no sum or intermediate leaves
     int64; raises TypeError on any other dtype, object arrays included, to
-    keep the exact lane honest, and ValueError beyond the bound.
+    keep the exact lane honest, and ValueError beyond the bound.  One min
+    and one max read the bound; when every |a| < 2^23 the gather and
+    butterfly run in int32, since no sum then leaves int32 either.
     """
     M = np.asarray(A)
     if M.shape != (DIM, DIM):
         raise ValueError(f"expected a {DIM}x{DIM} matrix, got {M.shape}")
     if not np.issubdtype(M.dtype, np.integer):
         raise TypeError("endo_to_form needs an integer dtype")
-    if ((M >= _BOUND) | (M <= -_BOUND)).any():
+    lo, hi = int(M.min()), int(M.max())
+    if lo <= -_BOUND or hi >= _BOUND:
         raise ValueError("endo_to_form needs entries with |a| < 2^55")
     gather, blade, SIG = _projection_tables()
-    H = M.astype(np.int64, copy=False).ravel()[gather]
+    dtype = np.int32 if -_BOUND32 < lo and hi < _BOUND32 else np.int64
+    H = M.ravel().astype(dtype, copy=False)[gather]
     for k in range(8):
         # c's bit k is the middle axis; (a, b) -> (a + b, a - b) in place
         V = H.reshape(-1, 2, DIM << k)

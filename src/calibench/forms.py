@@ -292,11 +292,18 @@ def wedge(a, b):
         raise ValueError(f"dimension mismatch {a.n} != {b.n}")
     da, xa = _numerators(a._terms)
     db, xb = _numerators(b._terms)
-    xb = [(mb, _below_parity(mb, a.n), cb) for mb, cb in xb]
-    # a sum that reaches 0 leaves the dict and re-enters at the end, so the
-    # output keeps the storage order of a Fraction-by-Fraction accumulation
-    # (the float view sums in storage order)
-    out = {}
+    out = _wedge_into({}, xa, [(mb, _below_parity(mb, a.n), cb) for mb, cb in xb])
+    d = da * db
+    return RealForm._own(a.n, {m: Fraction(v, d) for m, v in out.items()} if d != 1
+                         else {m: Fraction(v) for m, v in out.items()})
+
+
+def _wedge_into(out, xa, xb):
+    """Add the int wedge of ``xa`` [(mask, int)] and ``xb`` [(mask,
+    _below_parity of mask, int)] into ``out`` (mask -> nonzero int) and
+    return it.  A sum that reaches 0 leaves the dict and re-enters at the
+    end, so the output keeps the storage order of a Fraction-by-Fraction
+    accumulation (the float view sums in storage order)."""
     for ma, ca in xa:
         for mb, pb, cb in xb:
             if ma & mb:
@@ -307,9 +314,7 @@ def wedge(a, b):
                 out[m] = s
             else:
                 del out[m]
-    d = da * db
-    return RealForm._own(a.n, {m: Fraction(v, d) for m, v in out.items()} if d != 1
-                         else {m: Fraction(v) for m, v in out.items()})
+    return out
 
 
 def wedge_power(a, k):
@@ -533,19 +538,30 @@ def pullback(a, L):
     Exact: entries of L are exact scalars (int or Fraction; floats are
     refused).  Each coordinate 1-form E_i pulls back to the 1-form with row i
     of L as coefficients, and each blade to the wedge of its pulled-back
-    1-forms.
+    1-forms.  The form and L are each put over the lcm of their denominators
+    once; each blade is expanded factor by factor in Python ints by
+    ``wedge``'s inner loop and added into one int accumulator, so each output
+    term becomes one Fraction at the end, in a ``wedge``-by-``wedge`` fold's
+    storage order.
     """
     Lm = np.asarray(L, dtype=object)
     if Lm.shape != (a.n, a.n):
         raise ValueError(f"matrix must be {a.n}x{a.n}, got {Lm.shape}")
-    rows = [RealForm(a.n, {1 << j: x for j, x in enumerate(Lm[i])}) for i in range(a.n)]
-    out = RealForm(a.n)
-    for m, coeff in a._terms.items():
-        blade = RealForm(a.n, {0: coeff})
+    Lq = [[_exact(x) for x in row] for row in Lm]
+    dl = math.lcm(*[x.denominator for row in Lq for x in row])
+    rows = [[(1 << j, _below_parity(1 << j, a.n), x.numerator * (dl // x.denominator))
+             for j, x in enumerate(row) if x] for row in Lq]
+    da, xa = _numerators(a._terms)
+    top = max(a.grades(), default=0)
+    out = {}
+    for m, ca in xa:
+        # a grade-g blade carries da * dl^g; scale it to the common da * dl^top
+        blade = {0: ca * dl ** (top - m.bit_count())}
         for i in mask_indices(m):
-            blade = wedge(blade, rows[i - 1])
-        out = out + blade
-    return out
+            blade = _wedge_into({}, blade.items(), rows[i - 1])
+        _wedge_into(out, blade.items(), [(0, 0, 1)])  # out += blade, as a wedge with 1
+    d = da * dl**top
+    return RealForm._own(a.n, {m: Fraction(v, d) for m, v in out.items()})
 
 
 # complex-valued forms --------------------------------------------------------

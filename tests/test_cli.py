@@ -338,7 +338,7 @@ def test_federer_verb(capsys):
 
 def test_federer_verb_reports_route_disagreement(monkeypatch, capsys):
     # a shuffle sum of 2^(n/2) makes the shuffle route read 1
-    monkeypatch.setattr(grassmann, "_shuffle_sum", lambda n, coeff: 2 ** (n // 2))
+    monkeypatch.setattr(grassmann, "_shuffle_sum", lambda n, coeff, blades: 2 ** (n // 2))
     assert main(["federer"]) == 1
     err = capsys.readouterr().err
     assert "wedge route 147/128 != shuffle route 1" in err
@@ -433,6 +433,20 @@ NUMERIC_REPORT_DIGESTS = {
 def test_numeric_reports_are_pinned_beyond_seed_0(seed):
     report = run_suite("numeric", seed).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == NUMERIC_REPORT_DIGESTS[seed]
+
+
+# SHA-256 of run_suite("exact", seed).to_json(): the seeded exact checks
+# (octonion norms, Clifford round trip) draw other inputs at other seeds
+EXACT_REPORT_DIGESTS = {
+    1: "d10b3c22bc591fa54d6271b6ea43462517316ad72d444785e3dd471edf2391df",
+    2: "49493b88657ca796b51ffbe76350af9fbe0dd9ed6885709d3cf81bcc3092e99d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT_REPORT_DIGESTS))
+def test_exact_reports_are_pinned_beyond_seed_0(seed):
+    report = run_suite("exact", seed).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == EXACT_REPORT_DIGESTS[seed]
 
 
 def test_comass_unknown_form(capsys):

@@ -253,6 +253,36 @@ def test_endo_to_form_at_the_int64_edge(case):
         assert f.coefficient(idx) == want, idx
 
 
+@pytest.mark.parametrize("top", [2**23 - 1, 2**23])
+@pytest.mark.parametrize("case", ["all_plus", "all_minus", "random_signs"])
+def test_endo_to_form_at_the_int32_edge(case, top):
+    # below 2^23 the butterfly runs in int32, where 256 * (2^23 - 1) is the
+    # largest sum; an entry of 2^23 takes the int64 path, and in int32 the
+    # all-plus sum 256 * 2^23 would wrap
+    if case == "random_signs":
+        A = top * (1 - 2 * np.random.default_rng(41).integers(0, 2, size=(DIM, DIM)))
+    else:
+        A = np.full((DIM, DIM), top if case == "all_plus" else -top, dtype=np.int64)
+    f = endo_to_form(A)
+    Ao = A.astype(object)
+    for idx in [(), tuple(range(1, 17)), (1,), (16,), (1, 2), (3, 7, 11), (2, 4, 6, 8, 10, 12, 14, 16),
+                tuple(range(1, 16)), (9, 10, 11, 12, 13, 14, 15, 16)]:
+        want = Fraction(int((rep16(idx).astype(object) * Ao).sum()), 256)
+        assert f.coefficient(idx) == want, idx
+
+
+def test_endo_to_form_rejects_the_dtype_extremes():
+    # |int64 min| has no int64, so the bound is read off min and max
+    low = np.zeros((DIM, DIM), dtype=np.int64)
+    low[5, 9] = np.iinfo(np.int64).min
+    with pytest.raises(ValueError, match=r"2\^55"):
+        endo_to_form(low)
+    high = np.zeros((DIM, DIM), dtype=np.uint64)
+    high[0, 0] = 2**63
+    with pytest.raises(ValueError, match=r"2\^55"):
+        endo_to_form(high)
+
+
 def test_pinor_index_enumerates_the_space():
     seen = {pinor_index(s, t, a, b) for s in range(2) for t in range(2) for a in range(8) for b in range(8)}
     assert seen == set(range(DIM))

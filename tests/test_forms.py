@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from calibench.catalog import build_phi
+from calibench.catalog import build_cayley, build_phi, build_spinor_family, spinor_pullback_matrix
 from calibench.clifford import endo_to_form, rep16
 from calibench.forms import (
     ComplexForm,
@@ -31,6 +31,7 @@ from calibench.forms import (
     wedge,
     wedge_power,
 )
+from test_grassmann import _rational_rotation  # the rotation of the generic-position search test
 
 
 def blades_of(n, k):
@@ -543,6 +544,67 @@ class TestAlternationPullback:
     def test_pullback_is_an_algebra_map(self, a, b):
         L = np.array([[1, 1, 0], [0, 2, 1], [1, 0, 1]], dtype=object)
         assert pullback(wedge(a, b), L) == wedge(pullback(a, L), pullback(b, L))
+
+
+def _pullback_by_wedges(a, L):
+    """The reference fold: one ``wedge`` per index of each blade, and one
+    form sum per term."""
+    rows = [RealForm(a.n, {1 << j: x for j, x in enumerate(L[i])}) for i in range(a.n)]
+    out = RealForm(a.n)
+    for m, coeff in a._terms.items():
+        blade = RealForm(a.n, {0: coeff})
+        for i in mask_indices(m):
+            blade = wedge(blade, rows[i - 1])
+        out = out + blade
+    return out
+
+
+def _seeded_matrix(n, seed, fractions):
+    rng = np.random.default_rng(seed)
+    L = rng.integers(-2, 3, size=(n, n)).astype(object)
+    if fractions:
+        L = L * np.array([[Fraction(1, int(d)) for d in row] for row in rng.integers(1, 7, size=(n, n))], dtype=object)
+    return L
+
+
+def _seeded_form(n, seed):
+    rng = np.random.default_rng(seed)
+    terms = {}
+    for _ in range(12):
+        mask = int(rng.integers(0, 1 << n))
+        terms[mask] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+    return RealForm(n, terms)
+
+
+def _pullback_cases():
+    # E12 + E13 + E14 by rows e1, e2 + e3, e3 - e2, e2: the E12 sum reaches 0
+    # at the second term and re-enters at the end, behind E13
+    cancel = (RealForm(4, {(1, 2): 1, (1, 3): 1, (1, 4): 1}),
+              np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, -1, 1, 0], [0, 1, 0, 0]], dtype=object))
+    cases = {
+        "cancel_and_reenter": cancel,
+        "rank_one": (_seeded_form(5, 3), np.outer([1, 2, 0, -1, 1], [1, -1, 2, 0, 1]).astype(object)),
+        "rotated_cayley": (build_cayley(), np.array(_rational_rotation(8, np.random.default_rng(19)), dtype=object)),
+        "spinor_axis_flips": (build_spinor_family()["phi"].grade_part(8), spinor_pullback_matrix()),
+    }
+    for seed in range(4):
+        cases[f"int_{seed}"] = (_seeded_form(6, seed), _seeded_matrix(6, seed, False))
+        cases[f"fraction_{seed}"] = (_seeded_form(6, 10 + seed), _seeded_matrix(6, 10 + seed, True))
+    return cases
+
+
+_PULLBACK_CASES = _pullback_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_PULLBACK_CASES))
+def test_pullback_matches_the_wedge_fold_term_for_term(name):
+    a, L = _PULLBACK_CASES[name]
+    got = pullback(a, L)
+    assert list(got._terms.items()) == list(_pullback_by_wedges(a, L)._terms.items())
+    if name == "cancel_and_reenter":
+        assert list(got._terms.items()) == [(blade_mask((1, 3)), 2), (blade_mask((1, 2)), 1)]
+    if name == "rank_one":
+        assert set(got.grades()) <= {0, 1}
 
 
 def _exact_det(rows):

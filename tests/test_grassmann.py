@@ -8,12 +8,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from calibench import clifford, forms, grassmann
 from calibench.catalog import RouteDisagreement, build_phi, catalog
 from calibench.cli import _NEVER_EXCEED_SUITE
-from calibench.forms import RealForm, blade_mask, hodge_star, inner_product, pullback, reorder_sign, wedge
+from calibench.forms import RealForm, blade_mask, hodge_star, inner_product, mask_indices, pullback, reorder_sign, wedge
 from calibench.grassmann import (
     PLANE_TOL,
     SEARCH_TOL,
@@ -378,6 +378,17 @@ class TestFederer:
     def test_float_total_matches_shuffle_sum_r6(self, f):
         assert abs(federer_eval(f) - float(federer_product(f))) < 1e-12
 
+    @given(st.sampled_from([4, 6]).flatmap(middle_forms))
+    @example(RealForm(6, {(1, 2, 3): 1, (1, 2, 4): Fraction(1, 3)}))  # no complement present
+    @example(RealForm(4, {(1, 2): 1, (3, 4): 2, (1, 3): -1}))  # one complement pair, one lone blade
+    @settings(max_examples=60, deadline=None)
+    def test_support_walk_equals_full_walk(self, f):
+        # route two walks the form's support; a blade whose complement is
+        # off the support reads coeff(I^c) = 0, as in the full walk
+        n = f.n
+        full = grassmann._shuffle_sum(n, f.coefficient, combinations(range(1, n + 1), n // 2))
+        assert grassmann._shuffle_sum(n, f.coefficient, map(mask_indices, f._terms)) == full
+
     def test_float_total_of_phi_is_pinned(self):
         # 147/128 = 0x1.26p+0; the float total lands one ulp below it
         total = federer_eval(PHI)
@@ -386,7 +397,7 @@ class TestFederer:
 
     def test_routes_raise_on_disagreement(self, monkeypatch):
         # a shuffle sum of 2^(n/2) makes the shuffle route read 1
-        monkeypatch.setattr(grassmann, "_shuffle_sum", lambda n, coeff: 2 ** (n // 2))
+        monkeypatch.setattr(grassmann, "_shuffle_sum", lambda n, coeff, blades: 2 ** (n // 2))
         with pytest.raises(RouteDisagreement, match="wedge route 147/128 != shuffle route 1"):
             federer_product(PHI)
 
