@@ -124,7 +124,7 @@ W16 = ComplexPairing(16, tuple((2 * j + 1, 2 * j + 2, _W_CONJ[j], _W_SIGN[j]) fo
 
 
 def kaehler_form(pairing):
-    f = RealForm.zero(pairing.n)
+    f = RealForm(pairing.n)
     for (a, b, c, _s) in pairing.pairs:
         f = f + RealForm(pairing.n, {(a, b): c})
     return f
@@ -150,7 +150,7 @@ def sigma_half_sq(pairing):
     m = len(pairing.pairs)
     if m % 2:
         raise ValueError("sigma_half_sq needs an even number of complex coordinates")
-    sigma = ComplexForm(RealForm.zero(pairing.n))
+    sigma = ComplexForm(RealForm(pairing.n))
     for j in range(0, m, 2):
         sigma = sigma + cwedge(pairing.z(j), pairing.z(j + 1))
     return (cwedge(sigma, sigma) * Fraction(1, 2)).re
@@ -326,7 +326,7 @@ def build_spinor_family():
     checks = {
         "psi_4": (psi.grade_part(4), cay + cayp),
         "psi_prime_4": (psip.grade_part(4), wedge(omJ, omJp)),
-        "psi_prime_2": (psip.grade_part(2), RealForm.zero(16)),
+        "psi_prime_2": (psip.grade_part(2), RealForm(16)),
         "psi_8": (
             psi.grade_part(8),
             f24 * wedge_power(omJ, 4) + f24 * wedge_power(omJp, 4) + wedge(cay, cayp),
@@ -374,7 +374,7 @@ NORM_TABLE_EXPECTED = {
 
 def norm_table(f):
     """Squared norms of the even-grade parts (grades 0, 2, ..., 16)."""
-    return tuple(int(inner_product(f.grade_part(k), f.grade_part(k))) for k in range(0, 17, 2))
+    return tuple(int(inner_product(p, p)) for p in map(f.grade_part, range(0, 17, 2)))
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ SEARCH_TOL = grassmann.SEARCH_TOL
 PHI_SEARCH_RATIO = 294
 # the calibration's diagonal product, above 1; the R^4 Kaehler form's, 1/2, is the sanity value
 PHI_DIAGONAL = Fraction(147, 128)
+KAEHLER_R4 = forms.RealForm(4, {(1, 2): 1, (3, 4): 1})
 
 
 def _fmt(x):
@@ -187,19 +188,14 @@ def _chk_octonion_norm_composition(seed):
 
 def _chk_clifford_generators(seed):
     # generators are signed permutations; compose index maps instead of
-    # multiplying dense 256x256 matrices
+    # multiplying dense 256x256 matrices: (P, S)(Q, T) = (P[Q], S[Q] T)
     bad = 0
     ident = np.arange(clifford.DIM)
-    for i in range(16):
-        pi, si = clifford._GENS[i]
-        p2, s2 = clifford._compose(pi, si, pi, si)
-        if not (np.array_equal(p2, ident) and np.all(s2 == -1)):
+    for i, (p, s) in enumerate(clifford.GENERATORS):
+        if not (np.array_equal(p[p], ident) and np.all(s[p] * s == -1)):
             bad += 1
-        for j in range(i + 1, 16):
-            pj, sj = clifford._GENS[j]
-            pij, sij = clifford._compose(pi, si, pj, sj)
-            pji, sji = clifford._compose(pj, sj, pi, si)
-            if not (np.array_equal(pij, pji) and np.array_equal(sij, -sji)):
+        for q, t in clifford.GENERATORS[i + 1:]:
+            if not (np.array_equal(p[q], q[p]) and np.array_equal(s[q] * t, -(t[p] * s))):
                 bad += 1
     return str(bad), "0", 0.0, bad == 0
 
@@ -357,7 +353,7 @@ def _chk_spinor_duality(seed):
 
 def _chk_federer_routes(seed):
     value = grassmann.federer_product(cat.build_phi())
-    sanity = grassmann.federer_product(forms.RealForm(4, {(1, 2): 1, (3, 4): 1}))
+    sanity = grassmann.federer_product(KAEHLER_R4)
     ok = value == PHI_DIAGONAL and sanity == Fraction(1, 2)
     return f"{value} and {sanity}", "147/128 and 1/2", 0.0, ok
 
@@ -449,7 +445,7 @@ def _chk_gradient(seed):
         entry = entries[names[int(rng.integers(0, len(names)))]]
         f = entry.form
         k = f.grade()
-        M = grassmann._retract(rng.standard_normal((f.n, k)))
+        M = grassmann.retract(rng.standard_normal((f.n, k)))
         G = grassmann.frame_gradient(f, M)
         D = rng.standard_normal((f.n, k))
         D /= np.linalg.norm(D)
@@ -461,14 +457,14 @@ def _chk_gradient(seed):
 
 def _chk_spinor_kernel(seed):
     phi = cat.build_phi()
-    kernel = grassmann._search_kernel(phi)
+    kernel = grassmann.search_kernel(phi)
     rng = np.random.default_rng([seed, 28])
     d_value = d_grad = 0.0
     for _ in range(20):
-        M = grassmann._retract(rng.standard_normal((16, 8)))
+        M = grassmann.retract(rng.standard_normal((16, 8)))
         (f,), state = kernel.value(M[None])
         d_value = max(d_value, abs(f - forms.evaluate(phi, M)))
-        diff = grassmann._project(M, kernel.gradient(state)[0] - grassmann.frame_gradient(phi, M))
+        diff = grassmann.tangent_projection(M, kernel.gradient(state)[0] - grassmann.frame_gradient(phi, M))
         d_grad = max(d_grad, float(np.abs(diff).max()))
     ok = kernel.name == "clifford" and d_value <= 1e-12 and d_grad <= 1e-12
     measured = f"{kernel.name} kernel: value {_fmt(d_value)}, projected gradient {_fmt(d_grad)}"
@@ -483,10 +479,10 @@ def _chk_spinor_value_bound(seed):
     worst = 0.0
     for k in range(2, 17, 2):
         part = phi16.grade_part(k)
-        if not part.terms():
+        if part.is_zero():
             continue
         for _ in range(40):
-            M = grassmann._retract(rng.standard_normal((16, k)))
+            M = grassmann.retract(rng.standard_normal((16, k)))
             worst = max(worst, abs(forms.evaluate(part, M)))
     return _fmt(worst), "<= sqrt(2) + 1e-09", PLANE_TOL, worst <= bound
 
@@ -748,7 +744,7 @@ def _cmd_federer(args):
     phi = cat.build_phi()
     try:
         value = grassmann.federer_product(phi)
-        sanity = grassmann.federer_product(forms.RealForm(4, {(1, 2): 1, (3, 4): 1}))
+        sanity = grassmann.federer_product(KAEHLER_R4)
     except cat.RouteDisagreement as e:
         print(e, file=sys.stderr)
         return 1

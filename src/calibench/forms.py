@@ -142,8 +142,11 @@ class RealForm:
     grade-sensitive operations check homogeneity themselves.
 
     A form's terms never change after construction: only ``__init__`` and
-    ``_own`` set ``_terms``, and each does so on a new object.  The float view
-    (``DetKernel.of``) and the cached grade list rely on this.
+    ``_own`` set ``_terms``, each on a new object, and the float view
+    (``DetKernel.of``) and the cached grades rely on this.  ``_own`` adopts
+    clean terms, such as a grade part's, without ``__init__``'s checks.  No
+    other module reads ``_terms`` or calls ``_own``; ``test_layering``
+    checks this.
     """
 
     __slots__ = ("n", "_terms", "_float_view", "_grades")
@@ -179,10 +182,6 @@ class RealForm:
         f = cls(n)
         f._terms = terms
         return f
-
-    @staticmethod
-    def zero(n):
-        return RealForm(n)
 
     @staticmethod
     def blade(n, indices, coeff=1):
@@ -227,7 +226,7 @@ class RealForm:
         return gs[0]
 
     def grade_part(self, k):
-        return RealForm(self.n, {m: c for m, c in self._terms.items() if m.bit_count() == k})
+        return RealForm._own(self.n, {m: c for m, c in self._terms.items() if m.bit_count() == k})
 
     # algebra --------------------------------------------------------------
 
@@ -574,7 +573,7 @@ class ComplexForm:
 
     def __init__(self, re, im=None):
         if im is None:
-            im = RealForm.zero(re.n)
+            im = RealForm(re.n)
         if re.n != im.n:
             raise ValueError("real and imaginary parts must share a dimension")
         self.re = re
@@ -606,9 +605,7 @@ def cwedge(a, b):
 
 def form_to_dict(a):
     """JSON-ready dict, terms sorted lexicographically by index tuple."""
-    terms = []
-    for m, c in sorted(a._terms.items(), key=lambda kv: mask_indices(kv[0])):
-        terms.append({"blade": list(mask_indices(m)), "num": str(c.numerator), "den": str(c.denominator)})
+    terms = [{"blade": list(b), "num": str(c.numerator), "den": str(c.denominator)} for b, c in a.terms().items()]
     return {"n": a.n, "terms": terms}
 
 

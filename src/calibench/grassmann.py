@@ -50,7 +50,7 @@ from calibench.catalog import (
     spinor_pullback_matrix,
     spinor_pullback_phi,
 )
-from calibench.forms import DetKernel, evaluate, hodge_star, inner_product, mask_indices, wedge
+from calibench.forms import DetKernel, evaluate, hodge_star, inner_product, wedge
 
 __all__ = [
     "NormalFormSpec",
@@ -71,6 +71,9 @@ __all__ = [
     "frame_value",
     "frame_gradient",
     "comass_search",
+    "search_kernel",
+    "retract",
+    "tangent_projection",
     "PLANE_TOL",
     "SEARCH_TOL",
 ]
@@ -108,8 +111,8 @@ class NormalFormSpec:
 
     def to_dict(self):
         return {
-            "matrix_re": [[float(x) for x in row] for row in self.matrix.real],
-            "matrix_im": [[float(x) for x in row] for row in self.matrix.imag],
+            "matrix_re": self.matrix.real.tolist(),
+            "matrix_im": self.matrix.imag.tolist(),
             "angles": list(self.angles),
         }
 
@@ -236,10 +239,7 @@ class PlaneSample:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self):
-        d = {
-            "case": self.case,
-            "frame": [[float(x) for x in row] for row in self.frame],
-        }
+        d = {"case": self.case, "frame": self.frame.tolist()}
         if self.spec is not None:
             d["spec"] = self.spec.to_dict()
         if self.meta:
@@ -434,7 +434,7 @@ def federer_product(form):
     value."""
     k = _middle_degree(form)
     route_a = wedge(form, form).coefficient(tuple(range(1, form.n + 1))) / Fraction(2) ** k
-    route_b = _shuffle_sum(form.n, form.coefficient, map(mask_indices, form._terms)) / Fraction(2) ** k
+    route_b = _shuffle_sum(form.n, form.coefficient, form.terms()) / Fraction(2) ** k
     if route_a != route_b:
         raise RouteDisagreement(f"wedge route {route_a} != shuffle route {route_b}")
     return route_a
@@ -483,7 +483,7 @@ def frame_gradient(form, M):
     return kernel.gradient(kernel.value(M[None])[1])[0]
 
 
-def _retract(X):
+def retract(X):
     """The orthonormal frame of X, or of each frame of a stack: the QR factor
     Q with the signs that make R's diagonal nonnegative."""
     Q, R = np.linalg.qr(X)
@@ -497,7 +497,7 @@ def _clifford_kernel():
     return clifford.CliffordKernel(spinor_pullback_matrix())
 
 
-def _search_kernel(form):
+def search_kernel(form):
     """The Clifford kernel when the form is term for term the pulled-back
     spinor grade-8 part, the form's ``DetKernel`` for every other form."""
     if form.n == 16 and form.grade() == 8 and len(form) == 294 and form == spinor_pullback_phi():
@@ -505,7 +505,7 @@ def _search_kernel(form):
     return DetKernel.of(form)
 
 
-def _project(M, G):
+def tangent_projection(M, G):
     """The projection G - M sym(M^T G) onto the tangent space at M, per frame
     of a stack."""
     A = M.swapaxes(-1, -2) @ G
@@ -588,7 +588,7 @@ def _ascend(kernel, starts, iters, tol):
         s = T[g] - M[g]
         M[kept], f[kept] = T[kept], fT[kept]
         if grad.any():
-            Gn = _project(M[g], kernel.gradient(tuple(x[g] for x in state)))
+            Gn = tangent_projection(M[g], kernel.gradient(tuple(x[g] for x in state)))
             y = Gt[g] - Gn
             sy = (s * y).sum(axis=(1, 2))
             Gt[g], gn2[g] = Gn, (Gn * Gn).sum(axis=(1, 2))
@@ -604,7 +604,7 @@ def _ascend(kernel, starts, iters, tol):
                 stop = "tol" if grad[i] else "cap" if kept[i] else "line_search"
                 out[int(ids[i])] = (float(f[i]), M[i].copy(), int(steps[i]), stop)
             ids, steps, f, gn2, step, M, Gt = (x[live] for x in (ids, steps, f, gn2, step, M, Gt))
-        T = _retract(M + step[:, None, None] * Gt)
+        T = retract(M + step[:, None, None] * Gt)
 
 
 @dataclass(frozen=True)
@@ -686,9 +686,9 @@ def comass_search(form, restarts, iters, tol=SEARCH_TOL, seed=0, name=None):
     if not tol >= 0:
         raise ValueError("comass search needs a tolerance >= 0")
     n = form.n
-    kernel = _search_kernel(form)
+    kernel = search_kernel(form)
 
-    starts = (_retract(np.random.default_rng([seed, r]).standard_normal((n, k))) for r in range(restarts))
+    starts = (retract(np.random.default_rng([seed, r]).standard_normal((n, k))) for r in range(restarts))
     best_f, best_M, best_r = -math.inf, None, -1
     records = []
     for r, (f, M, steps, stop) in enumerate(_ascend(kernel, starts, iters, tol)):

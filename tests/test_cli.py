@@ -279,13 +279,13 @@ def test_comass_blade_needs_a_random_restart_at_1(monkeypatch):
 
 @pytest.mark.parametrize("breakage", ["pair_with_s_alone", "drop_volume", "select_det"])
 def test_spinor_kernel_check_fails_on_a_broken_kernel(monkeypatch, breakage):
-    kernel = grassmann._search_kernel(cat.build_phi())
+    kernel = grassmann.search_kernel(cat.build_phi())
     if breakage == "pair_with_s_alone":
         monkeypatch.setattr(kernel, "w", kernel.s)
     elif breakage == "drop_volume":
         monkeypatch.setattr(clifford, "_VOL8", 1.0)
     else:
-        monkeypatch.setattr(grassmann, "_search_kernel", forms.DetKernel.of)
+        monkeypatch.setattr(grassmann, "search_kernel", forms.DetKernel.of)
     measured, _expected, _tol, ok = cli._chk_spinor_kernel(0)
     assert not ok, measured
 

@@ -69,7 +69,7 @@ def test_generator_tables_are_pinned():
     # passes on consistently needs this digest: the 16 generators, the blade
     # tables, and the exact P8 basis matrices with their entry types
     h = hashlib.sha256()
-    arrays = [arr for gen in clifford._GENS for arr in gen] + list(clifford._blade_tables())
+    arrays = [arr for gen in clifford.GENERATORS for arr in gen] + list(clifford._blade_tables())
     for arr in arrays:
         h.update(arr.dtype.str.encode() + arr.tobytes())
     for i in range(8):
@@ -79,18 +79,26 @@ def test_generator_tables_are_pinned():
     assert h.hexdigest() == "2a74d544aa754d9df1a628e2427baf122f3fa3dfeb4df68bd8c2b6384df1d4dc"
 
 
+def test_generators_are_read_only():
+    # other modules read the generators, so none may rewrite them in place
+    for perm, sign in clifford.GENERATORS:
+        for arr in (perm, sign):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+
 def test_generator_relations():
     # squares are -1, distinct generators anticommute; composing signed
     # permutations keeps this O(n) instead of 256x256 matrix products
     ident = np.arange(DIM)
     for i in range(16):
-        pi, si = clifford._GENS[i]
-        p2, s2 = clifford._compose(pi, si, pi, si)
+        pi, si = clifford.GENERATORS[i]
+        p2, s2 = pi[pi], si[pi] * si
         assert (p2 == ident).all() and (s2 == -1).all()
         for j in range(i + 1, 16):
-            pj, sj = clifford._GENS[j]
-            pij, sij = clifford._compose(pi, si, pj, sj)
-            pji, sji = clifford._compose(pj, sj, pi, si)
+            pj, sj = clifford.GENERATORS[j]
+            pij, sij = pi[pj], si[pj] * sj
+            pji, sji = pj[pi], sj[pi] * si
             assert (pij == pji).all() and (sij == -sji).all()
 
 
@@ -98,8 +106,8 @@ def test_volume_element_splits_pinor_space_in_half():
     perm = np.arange(DIM, dtype=np.int64)
     sign = np.ones(DIM, dtype=np.int64)
     for i in range(15, -1, -1):
-        pi, si = clifford._GENS[i]
-        perm, sign = clifford._compose(pi, si, perm, sign)
+        pi, si = clifford.GENERATORS[i]
+        perm, sign = pi[perm], si[perm] * sign
     assert (perm == np.arange(DIM)).all()
     plus = {int(i) for i in np.nonzero(sign == 1)[0]}
     assert len(plus) == 128
@@ -210,7 +218,7 @@ def test_blade_tables_reject_a_generator_of_other_form(monkeypatch, case):
         perm[[1, 2]] = perm[[2, 1]]
     else:
         sign[3] = -1
-    monkeypatch.setattr(clifford, "_GENS", clifford._GENS[:5] + [(perm, sign)] + clifford._GENS[6:])
+    monkeypatch.setattr(clifford, "GENERATORS", clifford.GENERATORS[:5] + [(perm, sign)] + clifford.GENERATORS[6:])
     with pytest.raises(ValueError, match="signed XOR"):
         clifford._blade_tables.__wrapped__()
 
@@ -316,7 +324,7 @@ def test_rho_factorisation_matches_each_generator():
     kernel = clifford.CliffordKernel(np.eye(16))
     rng = np.random.default_rng(5)
     xs = rng.standard_normal((3, DIM))
-    for i, (perm, sign) in enumerate(clifford._GENS):
+    for i, (perm, sign) in enumerate(clifford.GENERATORS):
         L, Rt = kernel._factors(np.eye(16)[:, [i]])
         for x in xs:
             got = clifford._rho_apply(L[0], Rt[0], clifford._spinor_matrix(x))

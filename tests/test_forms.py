@@ -260,7 +260,7 @@ class TestRealFormArithmetic:
     @settings(max_examples=40, deadline=None)
     def test_add_sub(self, a, b):
         assert (a + b) - b == a
-        assert a - a == RealForm.zero(4)
+        assert a - a == RealForm(4)
 
     @given(forms(4), rationals())
     @settings(max_examples=40, deadline=None)
@@ -281,6 +281,15 @@ class TestRealFormArithmetic:
             with pytest.raises(ValueError, match=r"form is not homogeneous, grades \[1, 2\]"):
                 mixed.grade()
         assert mixed.grade_part(2) == RealForm.blade(4, (1, 2))
+
+    def test_grade_part_adopts_the_coefficients(self):
+        # a grade part keeps the source's clean coefficient objects instead of
+        # re-validating them
+        f = RealForm(4, {(1,): Fraction(1, 3), (1, 2): Fraction(2, 7), (3, 4): -5})
+        part = f.grade_part(2)
+        assert part == RealForm(4, {(1, 2): Fraction(2, 7), (3, 4): -5})
+        assert all(part._terms[m] is f._terms[m] for m in part._terms)
+        assert f.grade_part(3).is_zero()
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
@@ -381,7 +390,7 @@ class TestEvaluate:
         assert evaluate(f, M) == 0.0
         assert evaluate(RealForm.volume(3), np.diag([2.0, 0.0, 5.0])) == 0.0
         for _ in range(2):  # the zero form, whose grade is None
-            assert evaluate(RealForm.zero(3), np.eye(3)[:, :2]) == 0.0
+            assert evaluate(RealForm(3), np.eye(3)[:, :2]) == 0.0
 
 
 def _unpruned(f, M):

@@ -26,6 +26,41 @@ def test_no_module_imports_another_modules_private_names():
     assert not found, found
 
 
+# RealForm's storage and its adopting constructor, private to forms.py
+_FORM_STORAGE = frozenset({"_terms", "_own", "_float_view", "_grades"})
+
+
+def _private_attribute_reads():
+    """(file name, line, expression) of every attribute read in the package
+    that crosses into another module's private names: ``X._name`` (dunders
+    excepted) where X is a calibench module or a name imported from one, and
+    any RealForm storage attribute outside forms.py."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "calibench":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.asname or "calibench" for a in node.names if a.name.split(".")[0] == "calibench")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_") or node.attr.endswith("__"):
+                continue
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if ((isinstance(root, ast.Name) and root.id in imported)
+                    or (node.attr in _FORM_STORAGE and path.name != "forms.py")):
+                yield path.name, node.lineno, ast.unparse(node)
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # the import test above sees only ``from calibench.x import _y``; a read
+    # such as ``clifford._GENS`` or ``form._terms`` crosses the same boundary
+    found = [f"{f}:{line} {expr}" for f, line, expr in sorted(_private_attribute_reads())]
+    assert not found, found
+
+
 def test_only_the_cli_imports_catalog_builders():
     # the library takes forms as arguments; choosing which catalog form to
     # build is the front end's job
