@@ -16,7 +16,9 @@ Every generator is a signed XOR permutation e_c -> t (-1)^(b.c) e_(c xor a),
 with b.c the parity of the bits b and c share, so blade m is three numbers
 (X[m], Z[m], SIG[m]).  A doubling recurrence builds them for all 2^16 blades
 once, and the exact trace projection ``endo_to_form`` reads every blade's
-coefficient off one 256-point integer Walsh-Hadamard transform.
+coefficient off 256-point integer Walsh-Hadamard transforms, one for each
+XOR column x = r xor c that holds a nonzero entry (r, c): a blade matrix
+or a spinor outer product occupies one.
 
 The float lane lays a spinor out as a 16x16 matrix, where each generator is
 two 16x16 products; ``CliffordKernel``, the comass search's kernel for the
@@ -278,20 +280,22 @@ def _blade_tables():
 
 @functools.cache
 def _projection_tables():
-    """(GATHER, BLADE, SIG): flat uint16 index tables over a 256x256 matrix,
-    since every flat index is below 2^16.  GATHER[256c + x] = 256 (c xor x) + c,
-    so A.ravel()[GATHER] is D transposed, row c and column x holding
-    A[c xor x, c].  BLADE[256 Z[m] + X[m]] = m names the blade read off each
-    entry of the transformed rows; (X, Z) takes every value once, because the
-    2^16 blades are linearly independent."""
+    """(BLADE, SIG): BLADE[256 Z[m] + X[m]] = m names the blade read off
+    entry (Z[m], X[m]) of the transformed matrix, as a flat uint16 table,
+    since every flat index is below 2^16; (X, Z) takes every value once,
+    because the 2^16 blades are linearly independent."""
     X, Z, SIG = _blade_tables()
-    c = np.arange(DIM, dtype=np.uint16)
-    gather = ((c[:, None] ^ c[None, :]) << 8 | c[:, None]).ravel()
     blade = np.empty(1 << 16, dtype=np.uint16)
     blade[Z.astype(np.uint16) << 8 | X] = np.arange(1 << 16)
-    gather.flags.writeable = False
     blade.flags.writeable = False
-    return gather, blade, SIG
+    return blade, SIG
+
+
+def _column_gather(cols):
+    """Flat indices G[c, j] = 256 (c xor x_j) + c into a 256x256 matrix A,
+    for the columns x_j of D[c, x] = A[c xor x, c]."""
+    c = np.arange(DIM)[:, None]
+    return (c ^ cols) << 8 | c
 
 
 _BOUND = 1 << 55  # 256 * |entry| stays below 2^63
@@ -303,38 +307,47 @@ def endo_to_form(A):
 
     Returns sum_I tr(rep16(I)^T A) / 256 E_I as an exact form on R^16.  With
     blade m as (X, Z, SIG), tr(E_m^T A) = SIG[m] H[Z[m], X[m]], where H is the
-    Walsh-Hadamard transform along c of D[c, x] = A[c xor x, c]: one cached
-    flat gather, then an 8-stage integer butterfly run in place on the leading
-    axis, each stage on contiguous blocks of at least 256 entries.  Only the
-    nonzero entries of H are read, each named by its blade.  Takes an
-    integer dtype with entries |a| < 2^55, so no sum or intermediate leaves
-    int64; raises TypeError on any other dtype, object arrays included, to
-    keep the exact lane honest, and ValueError beyond the bound.  One min
-    and one max read the bound; when every |a| < 2^23 the gather and
-    butterfly run in int32, since no sum then leaves int32 either.  The public
-    ``RealForm`` constructor re-checks each term: ~0.5 ms per 256-term
-    projection, ~1 ms per exact suite run (one core of a shared 2-core Xeon).
+    Walsh-Hadamard transform along c of D[c, x] = A[c xor x, c].  The
+    transform acts on each column x of D alone, and a column with no nonzero
+    entry transforms to zero, so only the occupied columns x = r xor c of
+    A's nonzero entries (r, c) are gathered: one for a blade matrix or a
+    spinor outer product, all 256 for a dense matrix.  An 8-stage integer
+    butterfly runs in place on them along the leading axis, and only the
+    nonzero entries of its output are read, each named by its blade.  Takes
+    an integer dtype with entries |a| < 2^55, so no sum or intermediate
+    leaves int64; raises TypeError on any other dtype, object arrays
+    included, to keep the exact lane honest, and ValueError beyond the bound.
+    The bound is read off the nonzero entries' min and max; when every
+    |a| < 2^23 the butterfly runs in int32, since no sum then leaves int32
+    either.
     """
     M = np.asarray(A)
     if M.shape != (DIM, DIM):
         raise ValueError(f"expected a {DIM}x{DIM} matrix, got {M.shape}")
     if not np.issubdtype(M.dtype, np.integer):
         raise TypeError("endo_to_form needs an integer dtype")
-    lo, hi = int(M.min()), int(M.max())
+    flat = M.ravel()
+    nz = np.flatnonzero(flat)
+    if not nz.size:
+        return RealForm(16)
+    vals = flat[nz]
+    lo, hi = int(vals.min()), int(vals.max())
     if lo <= -_BOUND or hi >= _BOUND:
         raise ValueError("endo_to_form needs entries with |a| < 2^55")
-    gather, blade, SIG = _projection_tables()
+    blade, SIG = _projection_tables()
     dtype = np.int32 if -_BOUND32 < lo and hi < _BOUND32 else np.int64
-    H = M.ravel().astype(dtype, copy=False)[gather]
+    cols = np.flatnonzero(np.bincount((nz >> 8) ^ (nz & 0xFF), minlength=DIM))
+    H = flat[_column_gather(cols)].astype(dtype, copy=False)
+    J = len(cols)
     for k in range(8):
         # c's bit k is the middle axis; (a, b) -> (a + b, a - b) in place
-        V = H.reshape(-1, 2, DIM << k)
+        V = H.reshape(-1, 2, J << k)
         a, b = V[:, 0], V[:, 1]
         a += b
         b *= -2
         b += a
     pos = np.flatnonzero(H)
-    m = blade[pos]
-    order = np.argsort(m, kind="stable")  # terms in increasing blade mask
+    m = blade[(pos // J) << 8 | cols[pos % J]]
+    order = np.argsort(m)  # terms in increasing blade mask; each mask occurs once
     pos, m = pos[order], m[order]
-    return RealForm(16, {k: Fraction(v, 256) for k, v in zip(m.tolist(), (SIG[m] * H[pos]).tolist())})
+    return RealForm(16, {k: Fraction(v, 256) for k, v in zip(m.tolist(), (SIG[m] * H.ravel()[pos]).tolist())})

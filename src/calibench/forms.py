@@ -11,7 +11,9 @@ Exact operations (wedge, Hodge star, inner product, alternation, linear
 pullback) never touch floats.  ``wedge`` puts each operand over the lcm of
 its denominators, multiplies and sums in Python ints, and builds one Fraction
 per output term; the sign of a blade pair is one popcount against a
-prefix-XOR mask (``reorder_sign``), O(log n) shift-XORs per mask.
+prefix-XOR mask (``reorder_sign``), O(log n) shift-XORs per mask.  Against a
+homogeneous right factor, a term whose grade fills the complement looks its
+one partner up instead of scanning.
 
 ``DetKernel`` is a form's float view, built from the Fractions on its first
 float use and kept on the form.  Its determinant sum is the one float
@@ -285,26 +287,47 @@ def wedge(a, b):
     products and sums run on Python ints and each surviving output term
     becomes one Fraction at the end.  The sign of a term pair is
     popcount(A & P) mod 2, with P = ``_below_parity`` of B, taken once per
-    term of ``b``.
+    term of ``b``.  When ``b`` is homogeneous of grade g, a term of ``a`` of
+    grade n - g meets only its complement blade, read from a dict, and one
+    of higher grade meets none, so the square of the 294-term grade-8
+    calibration on R^16 makes 294 lookups instead of 294^2 pair tests.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch {a.n} != {b.n}")
     da, xa = _numerators(a._terms)
     db, xb = _numerators(b._terms)
-    out = _wedge_into({}, xa, [(mb, _below_parity(mb, a.n), cb) for mb, cb in xb])
+    out = _wedge_into({}, xa, [(mb, _below_parity(mb, a.n), cb) for mb, cb in xb],
+                      a.n if len(b.grades()) == 1 else None)
     d = da * db
     return RealForm._own(a.n, {m: Fraction(v, d) for m, v in out.items()} if d != 1
                          else {m: Fraction(v) for m, v in out.items()})
 
 
-def _wedge_into(out, xa, xb):
+def _wedge_into(out, xa, xb, n=None):
     """Add the int wedge of ``xa`` [(mask, int)] and ``xb`` [(mask,
     _below_parity of mask, int)] into ``out`` (mask -> nonzero int) and
     return it.  A sum that reaches 0 leaves the dict and re-enters at the
     end, so the output keeps the storage order of a Fraction-by-Fraction
-    accumulation (the float view sums in storage order)."""
+    accumulation (the float view sums in storage order).
+
+    Given ``n``, every mask of ``xb`` has one grade g and lies in R^n: a term
+    of ``xa`` of grade n - g takes its one possible partner, the complement,
+    from a dict, and a term of higher grade is skipped.  Each term of ``xa``
+    still meets its disjoint partners in ``xb``'s order, so ``out`` sees the
+    same updates in the same order as a full scan."""
+    cut = math.inf
+    if n is not None:
+        cut, full = n - xb[0][0].bit_count(), (1 << n) - 1
+        by_mask = {t[0]: t for t in xb}
     for ma, ca in xa:
-        for mb, pb, cb in xb:
+        partners = xb
+        g = ma.bit_count()
+        if g >= cut:
+            if g > cut:
+                continue
+            hit = by_mask.get(full ^ ma)
+            partners = (hit,) if hit else ()
+        for mb, pb, cb in partners:
             if ma & mb:
                 continue
             m = ma | mb

@@ -26,6 +26,7 @@ from calibench.catalog import (
     phi_components,
     sigma_half_sq,
     spinor_pullback_matrix,
+    spinor_pullback_phi,
 )
 from calibench.forms import (
     RealForm,
@@ -232,6 +233,43 @@ def test_catalog_digest_is_pinned():
     text = "".join(name + "\n" + dump_form(e.form) for name, e in sorted(ents.items()))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "458391a2b50d3437d6653c18ae33f8eacb716b43be1e2ee09bf7f1f86f718b33"
+
+
+# SHA-256 of each form's serialization-order term list and of its storage
+# order (the order ``DetKernel``'s float view sums in), for forms made by
+# ``endo_to_form``, ``pullback`` and ``wedge``
+TERM_LIST_DIGESTS = {
+    "psi": ("f0febce34eb49825ac0562ac70721fb8f8ac401c0d569b0db674405c2e13df88",
+            "32fb169257acdbb2d68c070a2928a3a5f820a0e2503d05e025509bc811adfeff"),
+    "psi_prime": ("32997153440c220de7e9587428cbe24083458c61e9f9fa11939350e5ba29806e",
+                  "17ce3ab8877eae1d10f0965892986170de070432207a01a4346825aa6acacf1c"),
+    "phi": ("b4ba610c44f6ea85f617a5ed65850a87f3acbc1776c771f39c0624fe254464fb",
+            "9097badb001557ac98b8acc72f2552ab89413f81a6b46683b6a68d5154cf437c"),
+    "spinor_pullback_phi": ("09141b3f25ebbef6065f9116819e20193fe346b490e09a9b7331e78278d31e55",
+                            "387067952fea362ba4681c6e1908aa0c54138d6dc05b3befc456bd3f83f0f07a"),
+    "phi_squared": ("259917d6355e49768270aa0af9a35867bad08df9b7cf45cd478f4d6fcec9307a",
+                    "c5af7e7a68b06a9479d25e02b4541360c9916110aca2b3c50b84ff26c353ca4f"),
+    "phase_3_4": ("f1103d9c228074123cd560793b87d569dc80492721eb00874c6a1feeb97b2382",
+                  "4bd11b9303a7def6cb8e462c1f695eb7d0f905f3fc60acc30c8f241054f30e5a"),
+    "phase_5_12": ("d466abe316c746f97479fbd0427066a4f5c30361c6752d7dc2f71bffd0288553",
+                   "4bd11b9303a7def6cb8e462c1f695eb7d0f905f3fc60acc30c8f241054f30e5a"),
+}
+
+
+def _pinned_forms():
+    fam = build_spinor_family()
+    phi = build_phi()
+    yield from (("psi", fam["psi"]), ("psi_prime", fam["psi_prime"]), ("phi", fam["phi"]))
+    yield "spinor_pullback_phi", spinor_pullback_phi()
+    yield "phi_squared", wedge(phi, phi)
+    yield "phase_3_4", build_phi(phase=(Fraction(3, 5), Fraction(4, 5)))
+    yield "phase_5_12", build_phi(phase=(Fraction(5, 13), Fraction(12, 13)))
+
+
+def test_term_lists_and_storage_orders_are_pinned():
+    for name, f in _pinned_forms():
+        got = tuple(hashlib.sha256(repr(x).encode()).hexdigest() for x in (list(f.terms().items()), list(f._terms)))
+        assert got == TERM_LIST_DIGESTS[name], name
 
 
 def test_catalog_spinor_parts_match_family():

@@ -201,13 +201,81 @@ def test_blade_tables_rebuild_each_signed_permutation():
 
 
 def test_projection_tables_are_permutations():
-    gather, blade, _ = clifford._projection_tables()
+    blade, _ = clifford._projection_tables()
     X, Z, _ = clifford._blade_tables()
     everything = np.arange(1 << 16)
-    assert np.array_equal(np.sort(gather), everything)
     assert np.array_equal(blade[256 * Z.astype(np.intp) + X], everything)
+    # the gather of all 256 columns reads every entry once
+    gather = clifford._column_gather(np.arange(DIM)).ravel()
+    assert np.array_equal(np.sort(gather), everything)
     c, x = np.divmod(everything, DIM)
     assert np.array_equal(gather, DIM * (c ^ x) + c)
+    # the gather of a few columns is those columns of the full one
+    cols = np.array([0, 7, 200])
+    assert np.array_equal(clifford._column_gather(cols), gather.reshape(DIM, DIM)[:, cols])
+
+
+def _endo_to_form_by_full_transform(A):
+    """The reference projection: gather all 65,536 entries of D[c, x] =
+    A[c xor x, c], run the butterfly on every column, and read every nonzero
+    entry of the result."""
+    M = np.asarray(A)
+    blade, SIG = clifford._projection_tables()
+    c = np.arange(DIM)
+    gather = ((c[:, None] ^ c[None, :]) << 8 | c[:, None]).ravel()
+    H = M.ravel().astype(np.int64)[gather]
+    for k in range(8):
+        V = H.reshape(-1, 2, DIM << k)
+        a, b = V[:, 0], V[:, 1]
+        a += b
+        b *= -2
+        b += a
+    pos = np.flatnonzero(H)
+    m = blade[pos]
+    order = np.argsort(m, kind="stable")
+    pos, m = pos[order], m[order]
+    return RealForm(16, {k: Fraction(v, 256) for k, v in zip(m.tolist(), (SIG[m] * H[pos]).tolist())})
+
+
+def _sparse_many_columns():
+    # 600 seeded entries in +-1..9 land in most of the 256 columns
+    rng = np.random.default_rng(43)
+    A = np.zeros((DIM, DIM), dtype=np.int64)
+    A.ravel()[rng.choice(DIM * DIM, size=600, replace=False)] = rng.integers(1, 10, size=600) * rng.choice([-1, 1], 600)
+    return A
+
+
+def _full_transform_cases():
+    s, sp = spinor_vector(S_PLUS), spinor_vector(S_PRIME)
+    cases = {f"blade_{k}": rep16(range(1, k + 1)) for k in range(17)}
+    cases.update({
+        "two_columns": rep16((1, 3)) + 2 * rep16((2, 16)),
+        "spinor_psi": 256 * np.outer(s, s),
+        "spinor_psi_prime": 256 * np.outer(sp, s),
+        "sparse_many_columns": _sparse_many_columns(),
+        "dense": np.random.default_rng(47).integers(-5, 6, size=(DIM, DIM)),
+        "zero": np.zeros((DIM, DIM), dtype=np.int64),
+        "int8": rep16((2, 5, 9)).astype(np.int8) - 3 * rep16((4,)).astype(np.int8),
+        "uint16": 7 * np.abs(rep16((1, 2, 3, 4, 5, 6))).astype(np.uint16),
+    })
+    return cases
+
+
+_FULL_TRANSFORM_CASES = _full_transform_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_FULL_TRANSFORM_CASES))
+def test_endo_to_form_matches_the_full_transform_term_for_term(name):
+    A = _FULL_TRANSFORM_CASES[name]
+    got = endo_to_form(A)
+    assert list(got.terms().items()) == list(_endo_to_form_by_full_transform(A).terms().items())
+    assert list(got._terms) == sorted(got._terms)  # storage order is by blade mask
+    if name == "two_columns":
+        assert got == RealForm.blade(16, (1, 3)) + 2 * RealForm.blade(16, (2, 16))
+    if name == "sparse_many_columns":
+        assert len(np.unique(np.bitwise_xor(*np.nonzero(A)))) > 200
+    if name == "zero":
+        assert got.is_zero()
 
 
 @pytest.mark.parametrize("case", ["swap", "sign"])
@@ -289,6 +357,19 @@ def test_endo_to_form_rejects_the_dtype_extremes():
     high[0, 0] = 2**63
     with pytest.raises(ValueError, match=r"2\^55"):
         endo_to_form(high)
+
+
+def test_endo_to_form_reads_the_bound_off_every_nonzero_entry():
+    # the first nonzero entry is small and a later one decides the tier
+    A = 2**24 * np.eye(DIM, dtype=np.int64)
+    A[0, 0] = 1
+    f = endo_to_form(A)  # in int32 the scalar's sum 1 + 255 * 2^24 would wrap
+    assert f.coefficient(()) == Fraction(1 + 255 * 2**24, 256)
+    assert f.coefficient(tuple(range(1, 17))) == Fraction(int((np.diagonal(rep16(range(1, 17))) * np.diagonal(A)).sum()), 256)
+    B = rep16((1, 2))
+    B[255, 3] = 2**55
+    with pytest.raises(ValueError, match=r"2\^55"):
+        endo_to_form(B)
 
 
 def test_pinor_index_enumerates_the_space():

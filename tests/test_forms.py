@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from calibench.catalog import build_cayley, build_phi, build_spinor_family, spinor_pullback_matrix
+from calibench.catalog import CAYLEY_TERMS, build_cayley, build_phi, build_spinor_family, spinor_pullback_matrix
 from calibench.clifford import endo_to_form, rep16
 from calibench.forms import (
     ComplexForm,
@@ -205,6 +205,79 @@ class TestIntWedge:
     def test_phi_squared_is_294_vol_term_for_term(self):
         phi = build_phi()
         assert wedge(phi, phi)._terms == {(1 << 16) - 1: Fraction(294)}
+
+
+def _wedge_by_scan(a, b):
+    """The reference scan: every term of ``a`` against every term of ``b``,
+    both in storage order, on int numerators over each operand's lcm
+    denominator, and a sum that reaches 0 leaving the dict."""
+    da = math.lcm(*[c.denominator for c in a._terms.values()])
+    db = math.lcm(*[c.denominator for c in b._terms.values()])
+    out = {}
+    for ma, ca in a._terms.items():
+        for mb, cb in b._terms.items():
+            if ma & mb:
+                continue
+            s = out.get(ma | mb, 0) + reorder_sign(ma, mb) * int(ca * da) * int(cb * db)
+            if s:
+                out[ma | mb] = s
+            else:
+                del out[ma | mb]
+    return RealForm(a.n, {m: Fraction(v, da * db) for m, v in out.items()})
+
+
+@st.composite
+def _wedge_operands(draw):
+    """(a, b) on R^n, n <= 8: a of mixed grades, so that its terms fall
+    below, at and above n minus b's grade, and b homogeneous or mixed."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    a = draw(forms(n, max_terms=10))
+    b = draw(st.one_of(homogeneous(n), forms(n, max_terms=10)))
+    return a, b
+
+
+def _phase_forms():
+    return [build_phi(phase=p) for p in ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)))]
+
+
+def _scan_cases():
+    phi, cayley = build_phi(), RealForm(8, CAYLEY_TERMS)
+    p1, p2 = _phase_forms()
+    # n = 3, b of grade 2: E1 and E2 take their complements E23 and E13 and
+    # cancel on E123, the scalar scans, and E3 ^ E12 puts E123 back at the end
+    cancel = (RealForm(3, {(1,): 1, (2,): 1, (): 1, (3,): 1}), RealForm(3, {(2, 3): 1, (1, 3): 1, (1, 2): 1}))
+    return {
+        "cancel_and_reenter": cancel,
+        "zero_a": (RealForm(8), cayley),
+        "zero_b": (cayley, RealForm(8)),
+        "phi_squared": (phi, phi),
+        "cayley_squared": (cayley, cayley),
+        "phase_3_4": (p1, phi),
+        "phase_5_12": (phi, p2),
+        "phase_3_4_squared": (p1, p1),
+        "phase_5_12_squared": (p2, p2),
+    }
+
+
+_SCAN_CASES = _scan_cases()
+
+
+class TestWedgeMatchesTheScan:
+    @given(_wedge_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_forms(self, ab):
+        a, b = ab
+        assert list(wedge(a, b)._terms.items()) == list(_wedge_by_scan(a, b)._terms.items())
+
+    @pytest.mark.parametrize("name", sorted(_SCAN_CASES))
+    def test_fixed_forms(self, name):
+        a, b = _SCAN_CASES[name]
+        got = wedge(a, b)
+        assert list(got._terms.items()) == list(_wedge_by_scan(a, b)._terms.items())
+        if name == "cancel_and_reenter":
+            assert list(got._terms.items()) == [(0b110, 1), (0b101, 1), (0b011, 1), (0b111, 1)]
+        if name.endswith("squared"):  # self-dual forms: a ^ a = |a|^2 vol
+            assert got == inner_product(a, a) * RealForm.volume(a.n)
 
 
 class TestHodge:
