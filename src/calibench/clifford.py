@@ -313,13 +313,13 @@ def endo_to_form(A):
     A's nonzero entries (r, c) are gathered: one for a blade matrix or a
     spinor outer product, all 256 for a dense matrix.  An 8-stage integer
     butterfly runs in place on them along the leading axis, and only the
-    nonzero entries of its output are read, each named by its blade.  Takes
-    an integer dtype with entries |a| < 2^55, so no sum or intermediate
-    leaves int64; raises TypeError on any other dtype, object arrays
-    included, to keep the exact lane honest, and ValueError beyond the bound.
-    The bound is read off the nonzero entries' min and max; when every
-    |a| < 2^23 the butterfly runs in int32, since no sum then leaves int32
-    either.
+    nonzero entries of its output are read, each named by its blade: they
+    are the form's int numerators, scaled by 1/256 once.  Takes an integer
+    dtype with entries |a| < 2^55, so no sum or intermediate leaves int64;
+    raises TypeError on any other dtype, object arrays included, to keep the
+    exact lane honest, and ValueError beyond the bound, read off the nonzero
+    entries' min and max.  When every |a| < 2^23 the butterfly runs in
+    int32, since no sum then leaves int32 either.
     """
     M = np.asarray(A)
     if M.shape != (DIM, DIM):
@@ -350,4 +350,4 @@ def endo_to_form(A):
     m = blade[(pos // J) << 8 | cols[pos % J]]
     order = np.argsort(m)  # terms in increasing blade mask; each mask occurs once
     pos, m = pos[order], m[order]
-    return RealForm(16, {k: Fraction(v, 256) for k, v in zip(m.tolist(), (SIG[m] * H.ravel()[pos]).tolist())})
+    return RealForm(16, dict(zip(m.tolist(), (SIG[m] * H.ravel()[pos]).tolist()))) * Fraction(1, 256)

@@ -2,20 +2,22 @@
 
 A form is a finite sum of coordinate blades ``E_I = E_{i1} ^ ... ^ E_{ik}``
 with strictly increasing indices ``1 <= i1 < ... < ik <= n`` and nonzero
-``fractions.Fraction`` coefficients.  Blades are stored as integer bitmasks
-(bit ``i-1`` set means index ``i`` is present), the usual trick in geometric
-algebra codes.  Every coordinate plane is oriented by increasing index order;
-``vol = E_{1..n}``.
+rational coefficients.  Blades are stored as integer bitmasks (bit ``i-1``
+set means index ``i`` is present), the usual trick in geometric algebra
+codes.  Every coordinate plane is oriented by increasing index order;
+``vol = E_{1..n}``.  A form holds its coefficients as one common denominator
+and int numerators (see ``RealForm``), and hands out ``Fraction``s only where
+its public API returns a coefficient.
 
 Exact operations (wedge, Hodge star, inner product, alternation, linear
-pullback) never touch floats.  ``wedge`` puts each operand over the lcm of
-its denominators, multiplies and sums in Python ints, and builds one Fraction
-per output term; the sign of a blade pair is one popcount against a
-prefix-XOR mask (``reorder_sign``), O(log n) shift-XORs per mask.  Against a
-homogeneous right factor, a term whose grade fills the complement looks its
-one partner up instead of scanning.
+pullback) never touch floats.  They read and write the int pair directly:
+``wedge`` multiplies and sums numerators in Python ints and its result sits
+over the product of the operands' denominators.  The sign of a blade pair is
+one popcount against a prefix-XOR mask (``reorder_sign``), O(log n)
+shift-XORs per mask.  Against a homogeneous right factor, a term whose grade
+fills the complement looks its one partner up instead of scanning.
 
-``DetKernel`` is a form's float view, built from the Fractions on its first
+``DetKernel`` is a form's float view, built from the int pair on its first
 float use and kept on the form.  Its determinant sum is the one float
 evaluation of a form: ``evaluate``, ``grassmann.frame_gradient`` and the
 det-path comass search all read the same object.
@@ -129,29 +131,34 @@ def perm_sign(perm):
 
 
 def _exact(x):
-    """Coerce an exact scalar.  Floats are refused: exactness is the contract."""
+    """Coerce an exact scalar to int or Fraction.  Floats are refused: exactness is the contract."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
+        return int(x)
     raise TypeError(f"exact coefficient required (int/Fraction), got {type(x).__name__}")
 
 
 class RealForm:
     """Exterior form on R^n with exact rational coefficients.
 
-    Terms map bitmask -> nonzero Fraction.  Mixed grades are allowed; the
-    grade-sensitive operations check homogeneity themselves.
+    The coefficient of blade m is ``_terms[m] / _d``: ``_d`` is an int >= 1
+    and ``_terms`` maps bitmask -> nonzero int numerator.  The pair is kept
+    in lowest terms: gcd(``_d``, every numerator) = 1, and the zero form has
+    ``_d`` = 1.  So ``_d`` is the lcm of the coefficients' denominators,
+    each form has one representation, and equality compares ``n``, ``_d``
+    and the dict.  Mixed grades are allowed; the grade-sensitive operations
+    check homogeneity themselves.
 
     A form's terms never change after construction: only ``__init__`` and
-    ``_own`` set ``_terms``, each on a new object, and the float view
-    (``DetKernel.of``) and the cached grades rely on this.  ``_own`` adopts
-    clean terms, such as a grade part's, without ``__init__``'s checks.  No
-    other module reads ``_terms`` or calls ``_own``; ``test_layering``
-    checks this.
+    ``_own`` set ``_d`` and ``_terms``, each on a new object, and the float
+    view (``DetKernel.of``) and the cached grades rely on this.  ``_own``
+    adopts clean terms, such as a grade part's, without ``__init__``'s
+    checks.  No other module reads ``_d`` or ``_terms`` or calls ``_own``;
+    ``test_layering`` checks this.
     """
 
-    __slots__ = ("n", "_terms", "_float_view", "_grades")
+    __slots__ = ("n", "_d", "_terms", "_float_view", "_grades")
 
     def __init__(self, n, terms=None):
         """``terms`` is a dict from blade (bitmask or increasing index tuple)
@@ -167,22 +174,30 @@ class RealForm:
                     raise ValueError(f"blade {mask_indices(mask) if mask >= 0 else mask} out of range for n={n}")
                 c = _exact(coeff)
                 if c:
-                    c = clean.get(mask, Fraction(0)) + c
+                    c = clean.get(mask, 0) + c
                     if c:
                         clean[mask] = c
                     else:
                         clean.pop(mask, None)
-        self._terms = clean
+        # each prime power of the lcm of the reduced denominators divides one
+        # of them exactly, and that term's numerator is prime to it: lowest terms
+        self._d = math.lcm(*{c.denominator for c in clean.values()})
+        self._terms = {m: c.numerator * (self._d // c.denominator) for m, c in clean.items()}
         self._float_view = None
         self._grades = None
 
     # construction helpers -------------------------------------------------
 
     @classmethod
-    def _own(cls, n, terms):
-        """A new form that owns ``terms`` (bitmask -> nonzero Fraction) as is."""
+    def _own(cls, n, d, terms):
+        """A new form that owns ``terms`` (bitmask -> nonzero int) over the
+        denominator ``d`` >= 1, both divided by gcd(d, every numerator), so
+        the pair is in lowest terms; the zero form's ``d`` becomes 1."""
+        g = math.gcd(d, *terms.values()) if d != 1 else 1
+        if g != 1:
+            d, terms = d // g, {m: v // g for m, v in terms.items()}
         f = cls(n)
-        f._terms = terms
+        f._d, f._terms = d, terms
         return f
 
     @staticmethod
@@ -201,10 +216,12 @@ class RealForm:
 
     def terms(self):
         """Dict blade-index-tuple -> Fraction, in serialization order."""
-        return {mask_indices(m): c for m, c in sorted(self._terms.items(), key=lambda kv: mask_indices(kv[0]))}
+        return {mask_indices(m): Fraction(v, self._d)
+                for m, v in sorted(self._terms.items(), key=lambda kv: mask_indices(kv[0]))}
 
     def coefficient(self, indices):
-        return self._terms.get(blade_mask(indices) if not isinstance(indices, int) else indices, Fraction(0))
+        v = self._terms.get(blade_mask(indices) if not isinstance(indices, int) else indices, 0)
+        return Fraction(v, self._d)
 
     def __len__(self):
         return len(self._terms)
@@ -228,27 +245,30 @@ class RealForm:
         return gs[0]
 
     def grade_part(self, k):
-        return RealForm._own(self.n, {m: c for m, c in self._terms.items() if m.bit_count() == k})
+        return RealForm._own(self.n, self._d, {m: v for m, v in self._terms.items() if m.bit_count() == k})
 
     # algebra --------------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, RealForm) and self.n == other.n and self._terms == other._terms
+        return (isinstance(other, RealForm) and self.n == other.n and self._d == other._d
+                and self._terms == other._terms)
 
     def __add__(self, other):
         if not isinstance(other, RealForm) or other.n != self.n:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
+        d = math.lcm(self._d, other._d)
+        sa, sb = d // self._d, d // other._d
+        out = {m: v * sa for m, v in self._terms.items()}
+        for m, v in other._terms.items():
+            s = out.get(m, 0) + v * sb
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return RealForm._own(self.n, out)
+                del out[m]
+        return RealForm._own(self.n, d, out)
 
     def __neg__(self):
-        return RealForm._own(self.n, {m: -c for m, c in self._terms.items()})
+        return RealForm._own(self.n, self._d, {m: -v for m, v in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, RealForm) or other.n != self.n:
@@ -259,7 +279,7 @@ class RealForm:
         c = _exact(scalar)
         if not c:
             return RealForm(self.n)
-        return RealForm._own(self.n, {m: coeff * c for m, coeff in self._terms.items()})
+        return RealForm._own(self.n, self._d * c.denominator, {m: v * c.numerator for m, v in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -267,47 +287,36 @@ class RealForm:
         if not self._terms:
             return f"RealForm(n={self.n}, 0)"
         bits = []
-        for m, c in sorted(self._terms.items(), key=lambda kv: mask_indices(kv[0]))[:6]:
-            bits.append(f"{c}*E{''.join(map(str, mask_indices(m)))}" if self.n < 10 else f"{c}*E{mask_indices(m)}")
+        for idx, c in list(self.terms().items())[:6]:
+            bits.append(f"{c}*E{''.join(map(str, idx))}" if self.n < 10 else f"{c}*E{idx}")
         more = "" if len(self._terms) <= 6 else f" ... ({len(self._terms)} terms)"
         return f"RealForm(n={self.n}, {' + '.join(bits)}{more})"
-
-
-def _numerators(terms):
-    """(d, [(mask, numerator)]): d is the lcm of the coefficients'
-    denominators and each numerator is its coefficient times d."""
-    d = math.lcm(*[c.denominator for c in terms.values()])
-    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
 
 
 def wedge(a, b):
     """Exterior product.  Exact; distributes over mixed grades.
 
-    Each operand is put over the lcm of its denominators once, so the
-    products and sums run on Python ints and each surviving output term
-    becomes one Fraction at the end.  The sign of a term pair is
-    popcount(A & P) mod 2, with P = ``_below_parity`` of B, taken once per
-    term of ``b``.  When ``b`` is homogeneous of grade g, a term of ``a`` of
-    grade n - g meets only its complement blade, read from a dict, and one
-    of higher grade meets none, so the square of the 294-term grade-8
-    calibration on R^16 makes 294 lookups instead of 294^2 pair tests.
+    The products and sums run on the operands' int numerators, and the
+    result sits over the product of their denominators.  The sign of a term
+    pair is popcount(A & P) mod 2, with P = ``_below_parity`` of B, taken
+    once per term of ``b``.  When ``b`` is homogeneous of grade g, a term of
+    ``a`` of grade n - g meets only its complement blade, read from a dict,
+    and one of higher grade meets none, so the square of the 294-term
+    grade-8 calibration on R^16 makes 294 lookups instead of 294^2 pair
+    tests.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch {a.n} != {b.n}")
-    da, xa = _numerators(a._terms)
-    db, xb = _numerators(b._terms)
-    out = _wedge_into({}, xa, [(mb, _below_parity(mb, a.n), cb) for mb, cb in xb],
+    out = _wedge_into({}, a._terms.items(), [(mb, _below_parity(mb, a.n), cb) for mb, cb in b._terms.items()],
                       a.n if len(b.grades()) == 1 else None)
-    d = da * db
-    return RealForm._own(a.n, {m: Fraction(v, d) for m, v in out.items()} if d != 1
-                         else {m: Fraction(v) for m, v in out.items()})
+    return RealForm._own(a.n, a._d * b._d, out)
 
 
 def _wedge_into(out, xa, xb, n=None):
     """Add the int wedge of ``xa`` [(mask, int)] and ``xb`` [(mask,
     _below_parity of mask, int)] into ``out`` (mask -> nonzero int) and
     return it.  A sum that reaches 0 leaves the dict and re-enters at the
-    end, so the output keeps the storage order of a Fraction-by-Fraction
+    end, so the output keeps the storage order of a term-by-term
     accumulation (the float view sums in storage order).
 
     Given ``n``, every mask of ``xb`` has one grade g and lies in R^n: a term
@@ -354,12 +363,10 @@ def hodge_star(a):
     """
     full = (1 << a.n) - 1
     out = {}
-    for m, c in a._terms.items():
+    for m, v in a._terms.items():
         comp = full ^ m
-        if reorder_sign(m, comp) < 0:
-            c = -c
-        out[comp] = c
-    return RealForm._own(a.n, out)
+        out[comp] = -v if reorder_sign(m, comp) < 0 else v
+    return RealForm._own(a.n, a._d, out)
 
 
 def inner_product(a, b):
@@ -371,12 +378,7 @@ def inner_product(a, b):
     if a.n != b.n:
         raise ValueError(f"dimension mismatch {a.n} != {b.n}")
     small, big = (a._terms, b._terms) if len(a._terms) <= len(b._terms) else (b._terms, a._terms)
-    total = Fraction(0)
-    for m, c in small.items():
-        d = big.get(m)
-        if d is not None:
-            total += c * d
-    return total
+    return Fraction(sum(v * big[m] for m, v in small.items() if m in big), a._d * b._d)
 
 
 # float evaluation ----------------------------------------------------------
@@ -433,7 +435,8 @@ class DetKernel:
 
     def __init__(self, form):
         self.rows = np.array([[i - 1 for i in mask_indices(m)] for m in form._terms], dtype=np.intp)
-        self.coeffs = np.array([float(c) for c in form._terms.values()])
+        # int / int is correctly rounded, as float(Fraction) is
+        self.coeffs = np.array([v / form._d for v in form._terms.values()])
         self.rows.flags.writeable = False
         self.coeffs.flags.writeable = False
         self.n = form.n
@@ -523,8 +526,8 @@ def evaluate(a, vectors):
     live = M.any(axis=1)
     if np.count_nonzero(live) > M.shape[1]:
         return float(kernel.value(M[None])[0][0])
-    c = a._terms.get(int.from_bytes(np.packbits(live, bitorder="little"), "little"))
-    return 0.0 if c is None else float(c) * float(np.linalg.det(M[live])) + 0.0
+    v = a._terms.get(int.from_bytes(np.packbits(live, bitorder="little"), "little"))
+    return 0.0 if v is None else v / a._d * float(np.linalg.det(M[live])) + 0.0
 
 
 def alternation(T, k, n):
@@ -535,7 +538,7 @@ def alternation(T, k, n):
     (1/k!) sum_sigma sign(sigma) T(e_{I sigma}) on each increasing I, which
     is the classical alternation operator restricted to basis tuples.  Int
     values are summed as ints, other values pass ``_exact`` (so floats are
-    refused), and each nonzero blade becomes one Fraction at the end.
+    refused), and the blade sums become one form, scaled by 1/k! once.
     """
     basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     perms = [(perm_sign(p), p) for p in itertools.permutations(range(k))]
@@ -549,9 +552,8 @@ def alternation(T, k, n):
             if type(val) is not int:
                 val = _exact(val)
             total += val if sgn > 0 else -val
-        if total:
-            terms[blade_mask(tuple(i + 1 for i in combo))] = Fraction(total, fact)
-    return RealForm._own(n, terms)
+        terms[blade_mask(tuple(i + 1 for i in combo))] = total
+    return RealForm(n, terms) * Fraction(1, fact)
 
 
 def pullback(a, L):
@@ -560,11 +562,10 @@ def pullback(a, L):
     Exact: entries of L are exact scalars (int or Fraction; floats are
     refused).  Each coordinate 1-form E_i pulls back to the 1-form with row i
     of L as coefficients, and each blade to the wedge of its pulled-back
-    1-forms.  The form and L are each put over the lcm of their denominators
-    once; each blade is expanded factor by factor in Python ints by
-    ``wedge``'s inner loop and added into one int accumulator, so each output
-    term becomes one Fraction at the end, in a ``wedge``-by-``wedge`` fold's
-    storage order.
+    1-forms.  L is put over the lcm of its denominators once; each blade's
+    int numerator is expanded factor by factor by ``wedge``'s inner loop and
+    added into one int accumulator over the form's denominator times L's to
+    the top grade, in a ``wedge``-by-``wedge`` fold's storage order.
     """
     Lm = np.asarray(L, dtype=object)
     if Lm.shape != (a.n, a.n):
@@ -573,17 +574,15 @@ def pullback(a, L):
     dl = math.lcm(*[x.denominator for row in Lq for x in row])
     rows = [[(1 << j, _below_parity(1 << j, a.n), x.numerator * (dl // x.denominator))
              for j, x in enumerate(row) if x] for row in Lq]
-    da, xa = _numerators(a._terms)
     top = max(a.grades(), default=0)
     out = {}
-    for m, ca in xa:
-        # a grade-g blade carries da * dl^g; scale it to the common da * dl^top
+    for m, ca in a._terms.items():
+        # a grade-g blade carries d * dl^g; scale it to the common d * dl^top
         blade = {0: ca * dl ** (top - m.bit_count())}
         for i in mask_indices(m):
             blade = _wedge_into({}, blade.items(), rows[i - 1])
         _wedge_into(out, blade.items(), [(0, 0, 1)])  # out += blade, as a wedge with 1
-    d = da * dl**top
-    return RealForm._own(a.n, {m: Fraction(v, d) for m, v in out.items()})
+    return RealForm._own(a.n, a._d * dl**top, out)
 
 
 # complex-valued forms --------------------------------------------------------
@@ -641,7 +640,6 @@ def form_from_dict(d):
         raise SchemaError(f"'n' must be an integer in 1..{MAX_N}")
     if not isinstance(d["terms"], list):
         raise SchemaError("'terms' must be a list")
-    seen = set()
     terms = {}
     for t in d["terms"]:
         if not isinstance(t, dict) or set(t) != {"blade", "num", "den"}:
@@ -653,10 +651,9 @@ def form_from_dict(d):
             raise SchemaError(f"blade index out of range 1..{n}: {blade}")
         if any(b <= a for a, b in zip(blade, blade[1:])):
             raise SchemaError(f"blade indices must be strictly increasing: {blade}")
-        key = tuple(blade)
-        if key in seen:
+        mask = blade_mask(blade)
+        if mask in terms:
             raise SchemaError(f"duplicate blade {blade}")
-        seen.add(key)
         num, den = t["num"], t["den"]
         if not (isinstance(num, str) and re.fullmatch("-?[0-9]+", num)
                 and isinstance(den, str) and re.fullmatch("[0-9]+", den)):
@@ -667,11 +664,10 @@ def form_from_dict(d):
             raise SchemaError(f"'num' or 'den' too long: {e}") from None
         if den == 0:
             raise SchemaError("zero denominator")
-        c = Fraction(num, den)
-        if c == 0:
+        if num == 0:
             raise SchemaError(f"zero coefficient stored for blade {blade}")
-        terms[blade_mask(key)] = c
-    return RealForm._own(n, terms)
+        terms[mask] = Fraction(num, den)
+    return RealForm(n, terms)
 
 
 def dump_form(a):

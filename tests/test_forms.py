@@ -149,12 +149,18 @@ class TestWedge:
         assert wedge_power(a, k) == expect
 
 
+def _stored(f):
+    """A form's (mask, Fraction) pairs in storage order: its int numerators
+    over its one denominator."""
+    return [(m, Fraction(v, f._d)) for m, v in f._terms.items()]
+
+
 def _fraction_wedge(a, b):
     """Reference wedge: one Fraction product per term pair, the sign by a
     pair count, and a sum that reaches 0 leaving the dict."""
     out = {}
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
+    for ma, ca in _stored(a):
+        for mb, cb in _stored(b):
             if ma & mb:
                 continue
             inversions = sum(i > j for i in mask_indices(ma) for j in mask_indices(mb))
@@ -183,11 +189,11 @@ class TestIntWedge:
         rng = np.random.default_rng(41)
         for _ in range(12):
             a, b = _mixed_form(rng, 40), _mixed_form(rng, 40)
-            lcm = math.lcm(*[c.denominator for c in a._terms.values()], *[c.denominator for c in b._terms.values()])
+            lcm = math.lcm(*[c.denominator for _, c in _stored(a) + _stored(b)])
             assert lcm >= 10**6
             w = wedge(a, b)
-            assert list(w._terms.items()) == list(_fraction_wedge(a, b).items())
-            assert all(type(c) is Fraction and c for c in w._terms.values())
+            assert _stored(w) == list(_fraction_wedge(a, b).items())
+            _assert_lowest_terms(w)
 
     def test_cancelling_products_store_no_zero(self):
         # E1 ^ E24 and E2 ^ E14 cancel on E124 (over denominators 3*7 and 7),
@@ -195,7 +201,7 @@ class TestIntWedge:
         a = RealForm(16, {(1,): Fraction(1, 3), (2,): Fraction(2, 7), (4,): Fraction(5, 11)})
         b = RealForm(16, {(2, 4): Fraction(6, 7), (3, 5): 1, (1, 4): 1, (1, 2): Fraction(1, 13)})
         w = wedge(a, b)
-        assert list(w._terms.items()) == list(_fraction_wedge(a, b).items())
+        assert _stored(w) == list(_fraction_wedge(a, b).items())
         assert list(w._terms) == [blade_mask(i) for i in ((1, 3, 5), (2, 3, 5), (3, 4, 5), (1, 2, 4))]
         assert w.coefficient((1, 2, 4)) == Fraction(5, 143)
         c = RealForm(16, {(1,): Fraction(1, 3), (2,): Fraction(2, 7)})
@@ -211,11 +217,11 @@ def _wedge_by_scan(a, b):
     """The reference scan: every term of ``a`` against every term of ``b``,
     both in storage order, on int numerators over each operand's lcm
     denominator, and a sum that reaches 0 leaving the dict."""
-    da = math.lcm(*[c.denominator for c in a._terms.values()])
-    db = math.lcm(*[c.denominator for c in b._terms.values()])
+    da = math.lcm(*[c.denominator for _, c in _stored(a)])
+    db = math.lcm(*[c.denominator for _, c in _stored(b)])
     out = {}
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
+    for ma, ca in _stored(a):
+        for mb, cb in _stored(b):
             if ma & mb:
                 continue
             s = out.get(ma | mb, 0) + reorder_sign(ma, mb) * int(ca * da) * int(cb * db)
@@ -267,13 +273,13 @@ class TestWedgeMatchesTheScan:
     @settings(max_examples=200, deadline=None)
     def test_hypothesis_forms(self, ab):
         a, b = ab
-        assert list(wedge(a, b)._terms.items()) == list(_wedge_by_scan(a, b)._terms.items())
+        assert _stored(wedge(a, b)) == _stored(_wedge_by_scan(a, b))
 
     @pytest.mark.parametrize("name", sorted(_SCAN_CASES))
     def test_fixed_forms(self, name):
         a, b = _SCAN_CASES[name]
         got = wedge(a, b)
-        assert list(got._terms.items()) == list(_wedge_by_scan(a, b)._terms.items())
+        assert _stored(got) == _stored(_wedge_by_scan(a, b))
         if name == "cancel_and_reenter":
             assert list(got._terms.items()) == [(0b110, 1), (0b101, 1), (0b011, 1), (0b111, 1)]
         if name.endswith("squared"):  # self-dual forms: a ^ a = |a|^2 vol
@@ -356,12 +362,12 @@ class TestRealFormArithmetic:
         assert mixed.grade_part(2) == RealForm.blade(4, (1, 2))
 
     def test_grade_part_adopts_the_coefficients(self):
-        # a grade part keeps the source's clean coefficient objects instead of
-        # re-validating them
+        # a grade part keeps the source's numerators, in lowest terms over
+        # its own denominator: 21 -> 7 once E1's 1/3 is gone
         f = RealForm(4, {(1,): Fraction(1, 3), (1, 2): Fraction(2, 7), (3, 4): -5})
         part = f.grade_part(2)
         assert part == RealForm(4, {(1, 2): Fraction(2, 7), (3, 4): -5})
-        assert all(part._terms[m] is f._terms[m] for m in part._terms)
+        assert (part._d, part._terms) == (7, {blade_mask((1, 2)): 2, blade_mask((3, 4)): -35})
         assert f.grade_part(3).is_zero()
 
     def test_float_coefficients_rejected(self):
@@ -373,6 +379,69 @@ class TestRealFormArithmetic:
     def test_out_of_range_blade(self):
         with pytest.raises(ValueError):
             RealForm(4, {(1, 5): 1})
+
+
+def _assert_lowest_terms(f):
+    """RealForm's storage rule: an int denominator >= 1 and nonzero int
+    numerators with no common factor, and 1 over the zero form."""
+    assert type(f._d) is int and f._d >= 1
+    assert all(type(v) is int and v for v in f._terms.values())
+    assert math.gcd(f._d, *f._terms.values()) == 1
+    if not f._terms:
+        assert f._d == 1
+
+
+@st.composite
+def _raw_terms(draw, n):
+    """A terms dict for RealForm(n, .) drawn from ``forms(n)``: int and
+    Fraction coefficients, and one blade keyed twice, by its index tuple and
+    by its mask, so the two entries add (and may cancel)."""
+    terms = {idx: int(c) if c.denominator == 1 else c for idx, c in draw(forms(n)).terms().items()}
+    idx = draw(st.sampled_from([b for k in range(n + 1) for b in blades_of(n, k)]))
+    terms[idx] = draw(rationals())
+    terms[blade_mask(idx)] = draw(st.integers(min_value=-3, max_value=3) | rationals())
+    return terms
+
+
+@st.composite
+def _lowest_terms_cases(draw):
+    """(n, two raw term dicts, a Fraction, a rational n x n matrix)."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    L = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n), min_size=n, max_size=n))
+    return n, draw(_raw_terms(n)), draw(_raw_terms(n)), draw(rationals()), np.array(L, dtype=object)
+
+
+class TestLowestTerms:
+    @given(_lowest_terms_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_operation_stores_lowest_terms(self, case):
+        n, ta, tb, s, L = case
+        a, b = RealForm(n, ta), RealForm(n, tb)
+        B = L.tolist()  # the bilinear callback u^T L v, alternated
+        results = [a, b, a + b, a - b, a - a, -a, a * s, a * Fraction(1, 3), wedge(a, b), hodge_star(a),
+                   pullback(a, L), alternation(lambda u, v: sum(B[i][j] * u[i] * v[j]
+                                                                for i in range(n) for j in range(n)), 2, n),
+                   form_from_dict(form_to_dict(a))]
+        results += [a.grade_part(k) for k in range(n + 1)]
+        for f in results:
+            _assert_lowest_terms(f)
+        assert (a * Fraction(1, 3)) * 3 == a
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255),
+                              st.integers(min_value=-600, max_value=600)), max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_endo_to_form_stores_lowest_terms(self, entries):
+        A = np.zeros((256, 256), dtype=np.int64)
+        for r, c, v in entries:
+            A[r, c] += v
+        _assert_lowest_terms(endo_to_form(A))
+
+    def test_cancelling_keys_leave_the_zero_form_over_1(self):
+        # the tuple key and the mask key of E1 cancel over the denominator 3
+        f = RealForm(4, {(1,): Fraction(1, 3), 1: Fraction(-1, 3)})
+        assert f.is_zero() and f._d == 1
+        g = RealForm(4, {(1,): Fraction(1, 3), 1: Fraction(-1, 3), (2,): Fraction(4, 6), 0b1000: 2})
+        assert (g._d, g._terms) == (3, {0b10: 2, 0b1000: 6})
 
 
 class TestEvaluate:
@@ -579,7 +648,21 @@ class TestFloatView:
             evaluate(operand, rng.standard_normal((5, 2)))
         f = _CONSTRUCTIONS[how]()
         M = rng.standard_normal((f.n, f.grade()))
-        assert evaluate(f, M).hex() == evaluate(RealForm(f.n, dict(f._terms)), M).hex()
+        assert evaluate(f, M).hex() == evaluate(RealForm(f.n, dict(_stored(f))), M).hex()
+
+    def test_coefficients_round_as_their_fractions(self):
+        # numerators and the common denominator 3^45 lie above 2^53, so only
+        # one correctly rounded division gives float(c): a float division of
+        # the two rounded ints misses on some of these terms
+        blades = blades_of(6, 3)
+        coeffs = [Fraction((-1) ** i * (2**70 + 1 + 2 * i * 1000003), 3**45) for i in range(len(blades))]
+        assert any(float(c.numerator) / float(c.denominator) != float(c) for c in coeffs)
+        f = RealForm(6, dict(zip(blades, coeffs)))
+        assert f._d == 3**45
+        assert [x.hex() for x in DetKernel.of(f).coeffs] == [float(c).hex() for c in coeffs]
+        # the one-term path of evaluate, on each coordinate frame
+        for idx, c in zip(blades, coeffs):
+            assert evaluate(f, np.eye(6)[:, [i - 1 for i in idx]]).hex() == float(c).hex()
 
 
 class TestAlternationPullback:
@@ -633,7 +716,7 @@ def _pullback_by_wedges(a, L):
     form sum per term."""
     rows = [RealForm(a.n, {1 << j: x for j, x in enumerate(L[i])}) for i in range(a.n)]
     out = RealForm(a.n)
-    for m, coeff in a._terms.items():
+    for m, coeff in _stored(a):
         blade = RealForm(a.n, {0: coeff})
         for i in mask_indices(m):
             blade = wedge(blade, rows[i - 1])
@@ -682,7 +765,7 @@ _PULLBACK_CASES = _pullback_cases()
 def test_pullback_matches_the_wedge_fold_term_for_term(name):
     a, L = _PULLBACK_CASES[name]
     got = pullback(a, L)
-    assert list(got._terms.items()) == list(_pullback_by_wedges(a, L)._terms.items())
+    assert _stored(got) == _stored(_pullback_by_wedges(a, L))
     if name == "cancel_and_reenter":
         assert list(got._terms.items()) == [(blade_mask((1, 3)), 2), (blade_mask((1, 2)), 1)]
     if name == "rank_one":
